@@ -1,32 +1,34 @@
-//! SpMV (propagation) kernel micro-bench: flat vs cache-blocked vs
-//! reordered+cache-blocked gathers.
+//! SpMV (propagation) kernel micro-bench: the flat gather on the
+//! as-ingested node order vs the same gather on reordered graphs.
 //!
 //! The CPI inner loop is one sparse transition apply per iteration; on
-//! graphs whose score vector outgrows L2 it is memory-bound. This bench
-//! measures the three locality levers the tiling layer provides, on
-//! R-MAT graphs at two scales:
+//! graphs whose score vector outgrows L2 it is memory-bound, and the
+//! lever that moves it is node ordering. This bench runs, on
+//! label-shuffled R-MAT graphs:
 //!
-//! * **flat** — the plain gather ([`TilePolicy::Flat`]);
-//! * **tiled** — strip-mined gather ([`TilePolicy::Strip`]) with the
-//!   auto cost model's width, original node order;
-//! * **`<strategy>`+tiled** — the same strip-mined kernel on a graph
-//!   relabeled by each [`ReorderStrategy`].
+//! * **flat** — the gather on the shuffled (arbitrary) labels;
+//! * **`<strategy>+flat`** — the same gather on the graph relabeled by
+//!   each [`ReorderStrategy`].
 //!
-//! All variants are bit-identical in results (up to relabeling for the
-//! reordered ones); only the memory access pattern differs. Scalar
-//! (1-lane) and fused 8-lane block passes are both timed.
+//! All variants are bit-identical in results up to relabeling; only the
+//! memory access pattern differs. Scalar (1-lane) and fused 8-lane block
+//! passes are both timed. Rounds are interleaved across variants and
+//! each speedup is the median of per-round `flat / variant` ratios, so
+//! a slow host episode hits both sides of a ratio.
 //!
-//! Output: ASCII table, `results/spmv_kernels.csv`, and
-//! `BENCH_spmv.json` (trajectory record; the acceptance bar is
-//! reordered+tiled ≥ 1.3× flat on the n=1M config's scalar pass).
+//! Output: ASCII table, `results/spmv_kernels_<n>.csv`, and
+//! `BENCH_spmv.json`. The acceptance bar is best reordering + flat
+//! ≥ 1.3× flat on the n=1M config's scalar pass; a run that includes
+//! that config exits nonzero when the bar fails.
 //!
-//! Env knobs: `TPA_QUICK=1` runs a single tiny config (CI smoke).
+//! Env knobs: `TPA_QUICK=1` runs a single tiny config (CI smoke, no
+//! bar); `TPA_SPMV_N=<n>` runs one config of `n` nodes and `10·n`
+//! edges (the bar applies only at `n` = 1M).
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use tpa_bench::harness::results_dir;
 use tpa_core::batch::ScoreBlock;
-use tpa_core::tiling::{resolve_strip, STRIP_TARGET_BYTES};
-use tpa_core::{Propagator, TilePolicy, Transition};
+use tpa_core::{Propagator, Transition};
 use tpa_eval::Table;
 use tpa_graph::gen::{rmat, RmatConfig};
 use tpa_graph::{reorder, CsrGraph, Permutation, ReorderStrategy};
@@ -34,11 +36,14 @@ use tpa_graph::{reorder, CsrGraph, Permutation, ReorderStrategy};
 const BLOCK_LANES: usize = 8;
 const SCALAR_ROUNDS: usize = 5;
 const BLOCK_ROUNDS: usize = 3;
+/// The config the acceptance bar is defined on.
+const BAR_N: usize = 1_000_000;
+/// Best reordered scalar speedup the bar requires.
+const BAR_SPEEDUP: f64 = 1.3;
 
 struct Variant {
     label: String,
     graph: CsrGraph,
-    policy: TilePolicy,
     reorder_secs: f64,
 }
 
@@ -50,16 +55,16 @@ fn main() {
         } else if quick {
             vec![(20_000, 200_000)]
         } else {
-            vec![(100_000, 1_000_000), (1_000_000, 10_000_000)]
+            vec![(100_000, 1_000_000), (BAR_N, 10 * BAR_N)]
         };
 
     let mut json_configs = Vec::new();
-    // Best reordered+tiled scalar speedup of the LAST (largest) config —
-    // the 1.3x acceptance bar is defined on n=1M, so smaller configs
-    // must not be allowed to satisfy it.
-    let mut acceptance = 0.0f64;
+    // Best reordered scalar speedup of the last config (recorded in the
+    // JSON) and of the BAR_N config (gated): smaller configs must not be
+    // allowed to satisfy the bar.
+    let mut best = 0.0f64;
+    let mut bar_best = None;
     for (n, m_target) in configs {
-        let mut config_best = 0.0f64;
         let mut rng = StdRng::seed_from_u64(0x5b3c);
         let generated = rmat(n, m_target, RmatConfig::default(), &mut rng);
         // R-MAT assigns low ids to the hottest quadrant, so the raw
@@ -69,56 +74,31 @@ fn main() {
         // which is exactly what the reordering layer exists to fix.
         let shuffle = random_permutation(n, &mut rng);
         let g = generated.permuted(&shuffle);
+        drop(generated);
         let m = g.m();
         eprintln!("[spmv_kernels] R-MAT graph (labels shuffled): n={n} m={m}");
 
-        // The width the auto model would pick for a scalar pass at this
-        // scale (forced even where the model would stay flat, so the
-        // table shows *why* the model stays flat there).
-        let width = resolve_strip(TilePolicy::Auto, n, m, 1).unwrap_or(STRIP_TARGET_BYTES / 8);
-        let auto_tiles = resolve_strip(TilePolicy::Auto, n, m, 1).is_some();
-
-        let mut variants = vec![
-            Variant {
-                label: "flat".into(),
-                graph: g.clone(),
-                policy: TilePolicy::Flat,
-                reorder_secs: 0.0,
-            },
-            Variant {
-                label: "tiled".into(),
-                graph: g.clone(),
-                policy: TilePolicy::Strip(width),
-                reorder_secs: 0.0,
-            },
-        ];
+        let mut variants = Vec::with_capacity(1 + ReorderStrategy::ALL.len());
         for strategy in ReorderStrategy::ALL {
             let (permuted, dt) = tpa_eval::time(|| {
                 let perm = reorder(&g, strategy);
                 g.permuted(&perm)
             });
-            // Flat on the relabeled graph isolates the reordering lever;
-            // +tiled composes both.
             variants.push(Variant {
                 label: format!("{}+flat", strategy.name()),
-                graph: permuted.clone(),
-                policy: TilePolicy::Flat,
-                reorder_secs: dt.as_secs_f64(),
-            });
-            variants.push(Variant {
-                label: format!("{}+tiled", strategy.name()),
                 graph: permuted,
-                policy: TilePolicy::Strip(width),
                 reorder_secs: dt.as_secs_f64(),
             });
         }
+        variants.insert(0, Variant { label: "flat".into(), graph: g, reorder_secs: 0.0 });
+
+        let transitions: Vec<Transition<'_>> =
+            variants.iter().map(|v| Transition::new(&v.graph)).collect();
+        let scalar = time_scalar(&transitions, n);
+        let block = time_block(&transitions, n);
 
         let mut table = Table::new(
-            format!(
-                "SpMV kernels on R-MAT n={n} m={m} (strip width {width} entries, auto model \
-                 would {})",
-                if auto_tiles { "tile" } else { "stay flat" }
-            ),
+            format!("SpMV kernels on R-MAT n={n} m={m}"),
             &[
                 "variant",
                 "scalar_ms",
@@ -128,33 +108,25 @@ fn main() {
                 "reorder_secs",
             ],
         );
-        let mut flat_scalar = 0.0;
-        let mut flat_block = 0.0;
+        let mut config_best = 0.0f64;
         let mut json_rows = Vec::new();
-        for v in &variants {
-            let t = Transition::new(&v.graph).with_tile_policy(v.policy);
-            let scalar = time_scalar(&t, n);
-            let block = time_block(&t, n);
-            if v.label == "flat" {
-                flat_scalar = scalar;
-                flat_block = block;
-            }
-            let s_speed = flat_scalar / scalar;
-            let b_speed = flat_block / block;
-            if v.label.ends_with("+tiled") {
+        for (i, v) in variants.iter().enumerate() {
+            let (scalar_secs, s_speed) = (median(&scalar[i]), median_ratio(&scalar[0], &scalar[i]));
+            let (block_secs, b_speed) = (median(&block[i]), median_ratio(&block[0], &block[i]));
+            if i > 0 {
                 config_best = config_best.max(s_speed);
             }
             table.row(&[
                 v.label.clone(),
-                format!("{:.2}", scalar * 1e3),
+                format!("{:.2}", scalar_secs * 1e3),
                 format!("{s_speed:.2}x"),
-                format!("{:.2}", block * 1e3),
+                format!("{:.2}", block_secs * 1e3),
                 format!("{b_speed:.2}x"),
                 format!("{:.2}", v.reorder_secs),
             ]);
             json_rows.push(format!(
-                "    \"{}\": {{\"scalar_secs\": {scalar:.6}, \"scalar_speedup_vs_flat\": \
-                 {s_speed:.3}, \"block8_secs\": {block:.6}, \"block8_speedup_vs_flat\": \
+                "    \"{}\": {{\"scalar_secs\": {scalar_secs:.6}, \"scalar_speedup_vs_flat\": \
+                 {s_speed:.3}, \"block8_secs\": {block_secs:.6}, \"block8_speedup_vs_flat\": \
                  {b_speed:.3}, \"reorder_secs\": {:.3}}}",
                 v.label, v.reorder_secs
             ));
@@ -165,30 +137,33 @@ fn main() {
         table.write_csv(dir.join(format!("spmv_kernels_{n}.csv"))).unwrap();
 
         json_configs.push(format!(
-            "  \"n{n}\": {{\n    \"graph\": {{\"generator\": \"rmat\", \"n\": {n}, \"m\": {m}}},\n    \
-             \"strip_width\": {width},\n    \"auto_model_tiles\": {auto_tiles},\n{}\n  }}",
+            "  \"n{n}\": {{\n    \"graph\": {{\"generator\": \"rmat\", \"n\": {n}, \"m\": {m}}},\n{}\n  }}",
             json_rows.join(",\n")
         ));
-        acceptance = config_best;
+        best = config_best;
+        if n == BAR_N {
+            bar_best = Some(config_best);
+        }
     }
 
     let json = format!(
         "{{\n  \"bench\": \"spmv_kernels\",\n  \"block_lanes\": {BLOCK_LANES},\n\
-         {},\n  \"best_reordered_tiled_scalar_speedup\": {acceptance:.3}\n}}\n",
+         {},\n  \"best_reordered_flat_scalar_speedup\": {best:.3}\n}}\n",
         json_configs.join(",\n")
     );
     std::fs::write("BENCH_spmv.json", &json).unwrap();
     eprintln!("[spmv_kernels] wrote BENCH_spmv.json");
-    eprintln!(
-        "[spmv_kernels] best reordered+tiled scalar speedup: {acceptance:.2}x {}",
-        if quick {
-            "(smoke run, no bar)"
-        } else if acceptance >= 1.3 {
-            "(PASS, >= 1.3x)"
-        } else {
-            "(FAIL, < 1.3x)"
+    eprintln!("[spmv_kernels] best reordered+flat scalar speedup: {best:.2}x");
+    match bar_best {
+        None => eprintln!("[spmv_kernels] no n={BAR_N} config, no bar"),
+        Some(b) if b >= BAR_SPEEDUP => {
+            eprintln!("[spmv_kernels] PASS: {b:.2}x >= {BAR_SPEEDUP}x at n={BAR_N}")
         }
-    );
+        Some(b) => {
+            eprintln!("[spmv_kernels] FAIL: {b:.2}x < {BAR_SPEEDUP}x at n={BAR_N}");
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Uniform random relabeling (Fisher–Yates) for the "as-ingested"
@@ -208,41 +183,53 @@ fn input_vector(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i.wrapping_mul(2654435761)) % 1000 + 1) as f64 / 1000.0 / n as f64).collect()
 }
 
-/// Median seconds of one scalar propagation pass.
-fn time_scalar(t: &Transition<'_>, n: usize) -> f64 {
+/// Scalar-pass samples, `[variant][round]`: each round times every
+/// variant once, in order, so per-round ratios are paired.
+fn time_scalar(ts: &[Transition<'_>], n: usize) -> Vec<Vec<f64>> {
     let x = input_vector(n);
     let mut y = vec![0.0; n];
-    t.propagate_into(0.85, &x, &mut y); // warm-up
-    let mut samples = Vec::with_capacity(SCALAR_ROUNDS);
-    for _ in 0..SCALAR_ROUNDS {
-        let (_, dt) = tpa_eval::time(|| {
-            t.propagate_into(0.85, &x, &mut y);
-            std::hint::black_box(&mut y);
-        });
-        samples.push(dt.as_secs_f64());
-    }
-    median(&mut samples)
+    interleaved(ts, SCALAR_ROUNDS, |t| {
+        t.propagate_into(0.85, &x, &mut y);
+        std::hint::black_box(&mut y);
+    })
 }
 
-/// Median seconds of one fused 8-lane block pass.
-fn time_block(t: &Transition<'_>, n: usize) -> f64 {
+/// Fused 8-lane block-pass samples, `[variant][round]`.
+fn time_block(ts: &[Transition<'_>], n: usize) -> Vec<Vec<f64>> {
     let mut x = ScoreBlock::zeros(n, BLOCK_LANES);
-    let base = input_vector(n * BLOCK_LANES);
-    x.data_mut().copy_from_slice(&base);
+    x.data_mut().copy_from_slice(&input_vector(n * BLOCK_LANES));
     let mut y = ScoreBlock::zeros(n, BLOCK_LANES);
-    t.propagate_block_into(0.85, &x, &mut y); // warm-up
-    let mut samples = Vec::with_capacity(BLOCK_ROUNDS);
-    for _ in 0..BLOCK_ROUNDS {
-        let (_, dt) = tpa_eval::time(|| {
-            t.propagate_block_into(0.85, &x, &mut y);
-            std::hint::black_box(y.data());
-        });
-        samples.push(dt.as_secs_f64());
-    }
-    median(&mut samples)
+    interleaved(ts, BLOCK_ROUNDS, |t| {
+        t.propagate_block_into(0.85, &x, &mut y);
+        std::hint::black_box(y.data());
+    })
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
+/// One warm-up pass per variant, then `rounds` rounds that time every
+/// variant once each.
+fn interleaved<F>(ts: &[Transition<'_>], rounds: usize, mut pass: F) -> Vec<Vec<f64>>
+where
+    F: FnMut(&Transition<'_>),
+{
+    ts.iter().for_each(&mut pass);
+    let mut samples = vec![Vec::with_capacity(rounds); ts.len()];
+    for _ in 0..rounds {
+        for (t, s) in ts.iter().zip(&mut samples) {
+            let (_, dt) = tpa_eval::time(|| pass(t));
+            s.push(dt.as_secs_f64());
+        }
+    }
+    samples
+}
+
+/// Median of the per-round `base / variant` time ratios.
+fn median_ratio(base: &[f64], variant: &[f64]) -> f64 {
+    let ratios: Vec<f64> = base.iter().zip(variant).map(|(b, v)| b / v).collect();
+    median(&ratios)
+}
+
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted[sorted.len() / 2]
 }

@@ -7,13 +7,13 @@
 //! in-flight kernels, abandon a sweep whose caller gave up, or serve a
 //! cheaper answer under pressure. This module is that missing layer:
 //!
-//! * [`AdmissionConfig`] / [`AdmissionGate`] — a max-in-flight gate
+//! * [`AdmissionConfig`] / `AdmissionGate` — a max-in-flight gate
 //!   with a bounded wait queue. A request that finds all slots busy
 //!   waits (up to its deadline) in a bounded queue; an overflowing
 //!   queue rejects with [`TpaError::Overloaded`] *immediately*, so
 //!   under sustained oversubscription callers fail in microseconds
 //!   instead of timing out one by one.
-//! * [`CancelToken`] / [`SweepGuard`] — per-request deadlines
+//! * [`CancelToken`] / `SweepGuard` — per-request deadlines
 //!   ([`crate::QueryRequest::with_deadline`]) and cooperative
 //!   cancellation ([`crate::QueryRequest::with_cancel`]). The guard
 //!   rides the CPI sweep through the same early-stop probe the bounded

@@ -381,11 +381,11 @@ fn add_assign_support(acc: &mut [f64], x: &[f64], active: &[NodeId]) {
     }
 }
 
-/// The canonical residual chain (blocked two-level fold; see
-/// [`crate::tiling`]) — what every dense `propagate_into_norm` returns.
+/// The canonical residual chain (blocked two-level fold) — what every
+/// dense `propagate_into_norm` returns.
 #[inline]
 fn l1(x: &[f64]) -> f64 {
-    crate::tiling::blocked_norm(x)
+    crate::gather::blocked_norm(x)
 }
 
 /// Support-only L1: ascending `active` covers every nonzero of `x`, and
@@ -398,9 +398,9 @@ pub(crate) fn l1_support(x: &[f64], active: &[NodeId]) -> f64 {
     let mut acc = 0.0f64;
     let mut i = 0usize;
     while i < active.len() {
-        let block = active[i] as usize / crate::tiling::NORM_BLOCK;
+        let block = active[i] as usize / crate::gather::NORM_BLOCK;
         let mut part = 0.0f64;
-        while i < active.len() && active[i] as usize / crate::tiling::NORM_BLOCK == block {
+        while i < active.len() && active[i] as usize / crate::gather::NORM_BLOCK == block {
             part += x[active[i] as usize].abs();
             i += 1;
         }

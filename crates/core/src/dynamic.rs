@@ -36,7 +36,7 @@ use crate::batch::cpi_batch;
 use crate::frontier::{
     self, FrontierPolicy, FrontierScratch, FrontierStep, FrontierWork, SPARSE_CUMULATIVE_BUDGET,
 };
-use crate::tiling::{self, InAdjacency, TilePolicy};
+use crate::gather::{self, InAdjacency};
 use crate::transition::dense_frontier_fallback;
 use crate::{CpiConfig, Propagator};
 use std::collections::{HashMap, HashSet};
@@ -65,7 +65,7 @@ pub struct DynamicTransition {
     /// [`DynamicTransition::apply`]. Propagation runs ~100 edge sweeps
     /// per converged query, so paying one merge per *update* instead of
     /// one per *sweep* is a large win — and it gives every destination a
-    /// plain slice, which is what lets the overlay share the strip-mined
+    /// plain slice, which is what lets the overlay share the gather
     /// kernels (and the identical gather order) of the static backends.
     /// Rows are `Arc`'d so a copy-on-write publish
     /// ([`DynamicTransition::publish_patched`]) shares them instead of
@@ -79,10 +79,6 @@ pub struct DynamicTransition {
     /// Destination ranges, one per worker (mirrors
     /// [`crate::ParallelTransition`]; length 1 = sequential).
     ranges: Vec<(u32, u32)>,
-    tile: TilePolicy,
-    /// Memoized sampled `Auto` tile decisions, cleared whenever the
-    /// overlay mutates (apply / compact).
-    strips: tiling::StripCache,
 }
 
 impl std::fmt::Debug for DynamicTransition {
@@ -166,16 +162,7 @@ impl DynamicTransition {
             }
         }
         let ranges = vec![(0, graph.n() as u32)];
-        Self {
-            graph,
-            inv_out_deg,
-            in_dirty,
-            dirty_rows,
-            out_rows,
-            ranges,
-            tile: TilePolicy::Auto,
-            strips: tiling::StripCache::new(),
-        }
+        Self { graph, inv_out_deg, in_dirty, dirty_rows, out_rows, ranges }
     }
 
     /// Propagates with `threads` destination-range workers, mirroring
@@ -190,25 +177,13 @@ impl DynamicTransition {
         } else {
             threads
         };
-        self.ranges = tiling::balance_ranges(self.graph.base().in_offsets(), threads);
-        self
-    }
-
-    /// Overrides the cache-blocking policy (default: the
-    /// [`TilePolicy::Auto`] cost model). Any policy stays bit-identical.
-    pub fn with_tile_policy(mut self, tile: TilePolicy) -> Self {
-        self.tile = tile;
+        self.ranges = gather::balance_ranges(self.graph.base().in_offsets(), threads);
         self
     }
 
     /// Number of destination-range workers.
     pub fn threads(&self) -> usize {
         self.ranges.len()
-    }
-
-    /// The memoized tile decision for the current overlay state.
-    fn resolve_strip(&self, rows: &OverlayRows<'_>, lanes: usize) -> Option<usize> {
-        self.strips.resolve(self.tile, rows, self.n(), self.graph.m(), lanes)
     }
 
     /// The kernels' row view over the current overlay state.
@@ -224,7 +199,7 @@ impl DynamicTransition {
     /// (called after compaction replaces the base).
     fn rebalance(&mut self) {
         let threads = self.ranges.len();
-        self.ranges = tiling::balance_ranges(self.graph.base().in_offsets(), threads);
+        self.ranges = gather::balance_ranges(self.graph.base().in_offsets(), threads);
     }
 
     /// The underlying dynamic graph.
@@ -275,7 +250,6 @@ impl DynamicTransition {
             column_delta_mass +=
                 column_delta(&sd.old_out, sd.old_inv, self.graph.out_neighbors(u), new_inv);
         }
-        self.strips.clear();
         if stats.compacted {
             self.in_dirty.iter_mut().for_each(|d| *d = false);
             self.dirty_rows.clear();
@@ -304,7 +278,6 @@ impl DynamicTransition {
     /// the neighbor-scan cost drops back to plain CSR slices.
     pub fn compact(&mut self) {
         self.graph.compact();
-        self.strips.clear();
         self.in_dirty.iter_mut().for_each(|d| *d = false);
         self.dirty_rows.clear();
         self.out_rows.clear();
@@ -324,8 +297,7 @@ impl DynamicTransition {
         let threshold = self.graph.compact_threshold();
         let mut dg = DynamicGraph::shared(base).with_compact_threshold(threshold);
         dg.apply(log);
-        let tile = self.tile;
-        *self = DynamicTransition::new(dg).with_tile_policy(tile).with_threads(threads);
+        *self = DynamicTransition::new(dg).with_threads(threads);
     }
 
     /// Publishes an immutable copy-on-write view of the current merged
@@ -347,7 +319,6 @@ impl DynamicTransition {
             self.graph.m(),
             self.graph.delta_edges(),
             self.ranges.clone(),
-            self.tile,
         )
     }
 
@@ -418,23 +389,11 @@ impl Propagator for DynamicTransition {
     /// overwhelming majority) read the base CSR slice, dirty ones their
     /// materialized merged row — identical accumulation order either
     /// way, so results match a rebuilt CSR bit for bit. Runs the same
-    /// flat-or-strip-mined kernels as the static backends, split over
+    /// gather kernels as the static backends, split over
     /// destination-range workers when [`DynamicTransition::with_threads`]
     /// asked for them.
     fn propagate_into(&self, coeff: f64, x: &[f64], y: &mut [f64]) {
-        let n = self.n();
-        assert_eq!(x.len(), n, "input vector length mismatch");
-        assert_eq!(y.len(), n, "output vector length mismatch");
-        let rows = self.rows();
-        let strip = self.resolve_strip(&rows, 1);
-        if self.ranges.len() == 1 {
-            tiling::gather_range(&rows, &self.inv_out_deg, coeff, x, y, 0..n as NodeId, strip);
-            return;
-        }
-        let inv = &self.inv_out_deg;
-        tiling::par_ranges(&self.ranges, 1, y, |slice, start, end| {
-            tiling::gather_range(&rows, inv, coeff, x, slice, start..end, strip);
-        });
+        gather::propagate(&self.rows(), &self.inv_out_deg, &self.ranges, coeff, x, y);
     }
 
     /// Fused-residual variant: the single-range overlay folds `Σ|y|`
@@ -443,30 +402,7 @@ impl Propagator for DynamicTransition {
     /// blocked-canonical chain (see [`crate::ParallelTransition`]), so
     /// the residual stays bitwise identical across backends.
     fn propagate_into_norm(&self, coeff: f64, x: &[f64], y: &mut [f64]) -> f64 {
-        let n = self.n();
-        assert_eq!(x.len(), n, "input vector length mismatch");
-        assert_eq!(y.len(), n, "output vector length mismatch");
-        let rows = self.rows();
-        let strip = self.resolve_strip(&rows, 1);
-        if self.ranges.len() == 1 {
-            return tiling::gather_range(
-                &rows,
-                &self.inv_out_deg,
-                coeff,
-                x,
-                y,
-                0..n as NodeId,
-                strip,
-            );
-        }
-        let inv = &self.inv_out_deg;
-        if tiling::ranges_block_aligned(&self.ranges) {
-            return tiling::par_ranges_norm(&self.ranges, y, |slice, start, end| {
-                tiling::gather_range(&rows, inv, coeff, x, slice, start..end, strip);
-            });
-        }
-        self.propagate_into(coeff, x, y);
-        tiling::blocked_norm(y)
+        gather::propagate_norm(&self.rows(), &self.inv_out_deg, &self.ranges, coeff, x, y)
     }
 
     fn frontier_work(&self, active: &[NodeId]) -> Option<FrontierWork> {
@@ -521,29 +457,7 @@ impl Propagator for DynamicTransition {
         x: &crate::batch::ScoreBlock,
         y: &mut crate::batch::ScoreBlock,
     ) {
-        let n = self.n();
-        assert_eq!(x.n(), n, "input block height mismatch");
-        assert_eq!(y.n(), n, "output block height mismatch");
-        assert_eq!(x.lanes(), y.lanes(), "lane count mismatch");
-        let lanes = x.lanes();
-        let rows = self.rows();
-        let strip = self.resolve_strip(&rows, lanes);
-        if self.ranges.len() == 1 {
-            tiling::block_gather_range(
-                &rows,
-                &self.inv_out_deg,
-                coeff,
-                x,
-                y.data_mut(),
-                0..n as NodeId,
-                strip,
-            );
-            return;
-        }
-        let inv = &self.inv_out_deg;
-        tiling::par_ranges(&self.ranges, lanes, y.data_mut(), |slice, start, end| {
-            tiling::block_gather_range(&rows, inv, coeff, x, slice, start..end, strip)
-        });
+        gather::propagate_block(&self.rows(), &self.inv_out_deg, &self.ranges, coeff, x, y);
     }
 }
 
@@ -654,7 +568,7 @@ pub fn propagate_offset_policy<P: Propagator + ?Sized>(
     }
 
     let mut residual =
-        if sparse { crate::cpi::l1_support(&x, &active) } else { tiling::blocked_norm(&x) };
+        if sparse { crate::cpi::l1_support(&x, &active) } else { gather::blocked_norm(&x) };
     if residual == 0.0 {
         return stats;
     }
@@ -1013,24 +927,6 @@ mod tests {
     }
 
     #[test]
-    fn strip_policy_is_bitwise_invisible_on_the_overlay() {
-        let g = test_graph();
-        let mut flat = DynamicTransition::new(DynamicGraph::new(g.clone()))
-            .with_tile_policy(crate::TilePolicy::Flat);
-        let mut strip = DynamicTransition::new(DynamicGraph::new(g.clone()))
-            .with_tile_policy(crate::TilePolicy::Strip(17));
-        let ups = [Insert(3, 90), Delete(3, 4), Insert(90, 3)];
-        flat.apply(&ups);
-        strip.apply(&ups);
-        let x: Vec<f64> = (0..g.n()).map(|i| (i % 5) as f64 / 5.0).collect();
-        let mut y_flat = vec![0.0; g.n()];
-        let mut y_strip = vec![0.0; g.n()];
-        flat.propagate_into(0.85, &x, &mut y_flat);
-        strip.propagate_into(0.85, &x, &mut y_strip);
-        assert_eq!(y_flat, y_strip);
-    }
-
-    #[test]
     fn apply_updates_inv_out_degrees() {
         let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
         let mut t = DynamicTransition::new(DynamicGraph::new(g).with_compact_threshold(None));
@@ -1138,7 +1034,7 @@ mod tests {
             use rand::{rngs::StdRng, SeedableRng};
             let mut rng = StdRng::seed_from_u64(61);
             let cfg =
-                LfrConfig { n: 2 * tiling::NORM_BLOCK + 511, m: 60_000, ..Default::default() };
+                LfrConfig { n: 2 * gather::NORM_BLOCK + 511, m: 60_000, ..Default::default() };
             lfr_lite(cfg, &mut rng).graph
         };
         let cfg = CpiConfig::default();

@@ -28,8 +28,8 @@ use crate::offcore::DiskGraph;
 use crate::patch::PatchedTransition;
 use crate::service::{map_updates, QueryResponse, Snapshot};
 use crate::{
-    CpiConfig, FrontierPolicy, ParallelTransition, Propagator, QueryRequest, TilePolicy, TpaError,
-    TpaIndex, TpaParams, Transition,
+    CpiConfig, FrontierPolicy, ParallelTransition, Propagator, QueryRequest, TpaError, TpaIndex,
+    TpaParams, Transition,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -333,7 +333,7 @@ impl<'g> QueryEngine<'g> {
     }
 
     /// Relabels the served graph for cache locality with `strategy` (see
-    /// [`tpa_graph::reorder`]): the permuted graph is built once here,
+    /// [`mod@tpa_graph::reorder`]): the permuted graph is built once here,
     /// and from then on reordering is transparent — seeds map in, scores
     /// and rankings map back out, updates to a dynamic backend are
     /// relabeled on entry, and [`QueryEngine::preprocess`] stamps the
@@ -344,12 +344,8 @@ impl<'g> QueryEngine<'g> {
     /// [`crate::offcore::DiskGraph::create`] instead (the edge file is
     /// laid out once and cannot be relabeled in place).
     ///
-    /// The rebuilt backend keeps [`crate::TilePolicy::Auto`]: reordering
-    /// alone delivers the bulk of the win (~2× propagation on shuffled
-    /// R-MAT at n=1M — see `spmv_kernels`), and the cost model adds
-    /// strip-mining only once the score block outgrows what a last-level
-    /// cache plausibly holds. Use [`QueryEngine::with_tile_policy`] to
-    /// force a choice either way.
+    /// Reordering is the locality lever for the gather: on a shuffled
+    /// R-MAT at n=1M it speeds propagation up ~2× (see `spmv_kernels`).
     pub fn with_reordering(self, strategy: ReorderStrategy) -> Self {
         // The dynamic arm materializes the merged snapshot once and
         // reuses it for the permuted rebuild below.
@@ -370,21 +366,6 @@ impl<'g> QueryEngine<'g> {
             }
         };
         self.apply_permutation(perm, snapshot)
-    }
-
-    /// Overrides the cache-blocking policy of the in-memory backends
-    /// (sequential, parallel, dynamic); see [`crate::TilePolicy`]. Any
-    /// policy is bit-identical — only throughput changes. No effect on
-    /// the streaming out-of-core backend.
-    pub fn with_tile_policy(mut self, tile: TilePolicy) -> Self {
-        self.snap.backend = match self.snap.backend {
-            EngineBackend::Sequential(t) => EngineBackend::Sequential(t.with_tile_policy(tile)),
-            EngineBackend::Parallel(t) => EngineBackend::Parallel(t.with_tile_policy(tile)),
-            EngineBackend::Dynamic(t) => EngineBackend::Dynamic(Box::new(t.with_tile_policy(tile))),
-            EngineBackend::Patched(t) => EngineBackend::Patched(t.with_tile_policy(tile)),
-            other @ EngineBackend::OutOfCore(_) => other,
-        };
-        self
     }
 
     /// [`QueryEngine::with_reordering`] with an explicit permutation
@@ -1209,15 +1190,6 @@ mod tests {
             assert_eq!(par.query(42), reference, "par {}", policy.name());
             assert_eq!(dynamic.query(42), reference, "dyn {}", policy.name());
         }
-    }
-
-    #[test]
-    fn tile_policy_is_bitwise_invisible_through_the_engine() {
-        let g = test_graph();
-        let flat = QueryEngine::sequential(&g).with_tile_policy(crate::TilePolicy::Flat);
-        let strip = QueryEngine::sequential(&g).with_tile_policy(crate::TilePolicy::Strip(29));
-        assert_eq!(flat.query(7), strip.query(7));
-        assert_eq!(flat.query_batch(&[1, 2, 3]), strip.query_batch(&[1, 2, 3]));
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //!    `0.0` adds (`x[u] == 0.0` ⇒ `x[u]·w = +0.0`, and `acc + 0.0`
 //!    leaves a non-negative accumulator bit-for-bit unchanged), so the
 //!    per-destination floating-point chain is **identical** to the
-//!    dense and strip-mined kernels — the same guarantee discipline the
-//!    tiling layer follows, which is what lets [`FrontierPolicy`] be
+//!    dense gather kernel's, which is what lets [`FrontierPolicy`] be
 //!    bitwise invisible on every backend.
 //! 3. **Fold** the convergence residual `‖x(i+1)‖₁` and the next
 //!    frontier over `R` in ascending order during the same pass, so the
@@ -37,7 +36,7 @@
 //! discovered gather cost exceeds `m / `[`GATHER_BAIL_DIVISOR`] the step
 //! bails to the dense kernel before paying it.
 
-use crate::tiling::InAdjacency;
+use crate::gather::InAdjacency;
 use tpa_graph::{CsrGraph, DynamicGraph, NodeId};
 
 /// How CPI schedules its per-iteration propagation.
@@ -321,8 +320,7 @@ pub(crate) fn gather_reachable_into<A: InAdjacency + ?Sized>(
 /// Post-gather fold over the ascending reachable set: accumulates
 /// `‖y‖₁` and collects the next frontier (`y != 0.0`). Entries are
 /// grouped by their `NORM_BLOCK`, matching the blocked-canonical
-/// association of the dense kernels' fused residual (see
-/// [`crate::tiling`]): blocks without reachable entries contribute an
+/// association of the dense kernels' fused residual: blocks without reachable entries contribute an
 /// exact `+0.0` partial (elided), and within a block the skipped terms
 /// are exact zeros — so the residual is bitwise equal to a dense
 /// `propagate_into_norm` of the same step.
@@ -335,9 +333,9 @@ pub(crate) fn fold_reachable(
     let mut residual = 0.0f64;
     let mut i = 0usize;
     while i < reachable.len() {
-        let block = reachable[i] as usize / crate::tiling::NORM_BLOCK;
+        let block = reachable[i] as usize / crate::gather::NORM_BLOCK;
         let mut part = 0.0f64;
-        while i < reachable.len() && reachable[i] as usize / crate::tiling::NORM_BLOCK == block {
+        while i < reachable.len() && reachable[i] as usize / crate::gather::NORM_BLOCK == block {
             let v = reachable[i];
             let yv = y[v as usize];
             if yv != 0.0 {
@@ -425,7 +423,7 @@ where
     if ranges.len() == 1 || reachable.len() < PAR_MIN_REACHABLE {
         gather_reachable_into(adj, inv, coeff, x, y, reachable, 0);
     } else {
-        crate::tiling::par_ranges(ranges, 1, y, |slice, start, end| {
+        crate::gather::par_ranges(ranges, 1, y, |slice, start, end| {
             let lo = reachable.partition_point(|&v| v < start);
             let hi = reachable.partition_point(|&v| v < end);
             gather_reachable_into(adj, inv, coeff, x, slice, &reachable[lo..hi], start);
@@ -438,7 +436,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tiling::gather_flat;
+    use crate::gather::gather_flat;
     use tpa_graph::gen::{lfr_lite, LfrConfig};
 
     fn test_graph() -> CsrGraph {

@@ -79,6 +79,7 @@ pub mod dynamic;
 pub mod engine;
 mod error;
 pub mod frontier;
+mod gather;
 pub mod metrics;
 pub mod offcore;
 mod pagerank;
@@ -88,7 +89,6 @@ mod patch;
 pub mod profiling;
 mod seeds;
 pub mod service;
-pub mod tiling;
 mod topk;
 mod tpa;
 mod transition;
@@ -122,7 +122,6 @@ pub use service::{
     ExecMode, QueryRequest, QueryResponse, QueryResult, RwrService, ServiceBuilder, Snapshot,
     SnapshotCache, UpdateOutcome,
 };
-pub use tiling::TilePolicy;
 pub use topk::TopKGuarantee;
 pub use tpa::{PreprocessStats, TpaIndex, TpaParams, TpaParts};
 pub use transition::{Propagator, Transition};

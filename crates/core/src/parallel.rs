@@ -5,13 +5,12 @@
 //! result is bit-identical to the sequential kernel (no atomics, no
 //! reduction reordering). Thread ranges are balanced by in-edge count, not
 //! node count, because power-law graphs concentrate edges on few nodes.
-//! Within its range each worker runs the same flat-or-strip-mined kernels
-//! as the sequential backend (see [`crate::tiling`]), so cache blocking
-//! and parallelism compose.
+//! Within its range each worker runs the same flat gather as the
+//! sequential backend.
 
 use crate::batch::ScoreBlock;
 use crate::frontier::{self, FrontierScratch, FrontierStep, FrontierWork};
-use crate::tiling::{self, TilePolicy};
+use crate::gather;
 use crate::transition::{dense_frontier_fallback, GraphHandle};
 use crate::Propagator;
 use std::sync::Arc;
@@ -23,10 +22,6 @@ pub struct ParallelTransition<'g> {
     inv_out_deg: Vec<f64>,
     /// Destination ranges, one per worker, balanced by in-edge count.
     ranges: Vec<(u32, u32)>,
-    tile: TilePolicy,
-    /// Memoized sampled `Auto` tile decisions (the graph is immutable
-    /// for this backend's lifetime).
-    strips: tiling::StripCache,
 }
 
 impl std::fmt::Debug for ParallelTransition<'_> {
@@ -41,7 +36,7 @@ impl<'g> ParallelTransition<'g> {
     /// Binds the operator with `threads` workers. The worker count is
     /// clamped to `[1, n]` — a range per worker is only useful while
     /// there are nodes to hand out — and every range is non-empty by
-    /// construction (see [`crate::tiling`]'s range balancing).
+    /// construction.
     pub fn new(graph: &'g CsrGraph, threads: usize) -> Self {
         Self::from_handle(GraphHandle::Borrowed(graph), threads)
     }
@@ -54,28 +49,15 @@ impl<'g> ParallelTransition<'g> {
 
     fn from_handle(graph: GraphHandle<'_>, threads: usize) -> ParallelTransition<'_> {
         let g = graph.get();
-        let ranges = tiling::balance_ranges(g.in_offsets(), threads);
+        let ranges = gather::balance_ranges(g.in_offsets(), threads);
         let inv_out_deg = g.inv_out_degrees();
-        ParallelTransition {
-            graph,
-            inv_out_deg,
-            ranges,
-            tile: TilePolicy::Auto,
-            strips: tiling::StripCache::new(),
-        }
+        ParallelTransition { graph, inv_out_deg, ranges }
     }
 
     /// Default worker count: available parallelism.
     pub fn with_default_threads(graph: &'g CsrGraph) -> Self {
         let threads = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
         Self::new(graph, threads)
-    }
-
-    /// Overrides the cache-blocking policy (default: the
-    /// [`TilePolicy::Auto`] cost model). Any policy stays bit-identical.
-    pub fn with_tile_policy(mut self, tile: TilePolicy) -> Self {
-        self.tile = tile;
-        self
     }
 
     /// The underlying graph.
@@ -101,48 +83,16 @@ impl Propagator for ParallelTransition<'_> {
     }
 
     fn propagate_into(&self, coeff: f64, x: &[f64], y: &mut [f64]) {
-        let g = self.graph.get();
-        let n = g.n();
-        assert_eq!(x.len(), n);
-        assert_eq!(y.len(), n);
-        let strip = self.strips.resolve(self.tile, g, n, g.m(), 1);
-        if self.ranges.len() == 1 {
-            // Sequential fast path.
-            tiling::gather_range(g, &self.inv_out_deg, coeff, x, y, 0..n as NodeId, strip);
-            return;
-        }
-        let inv = &self.inv_out_deg;
-        tiling::par_ranges(&self.ranges, 1, y, |slice, start, end| {
-            tiling::gather_range(g, inv, coeff, x, slice, start..end, strip);
-        });
+        gather::propagate(self.graph.get(), &self.inv_out_deg, &self.ranges, coeff, x, y);
     }
 
     /// Fused-residual step with the `O(n)` fold parallelized: each
-    /// worker propagates its block-aligned band and folds its own
-    /// per-`NORM_BLOCK` partials over the just-written (cache-warm)
-    /// slice; the calling thread folds the partials ascending. That
-    /// two-level chain is the blocked-canonical association every
-    /// backend's residual uses, so the result is bitwise identical to
-    /// the sequential backends and every backend makes the same
-    /// convergence decision. Graphs too small for block-aligned ranges
-    /// propagate and pay one sequential blocked scan instead.
+    /// worker folds the per-`NORM_BLOCK` partials of its block-aligned
+    /// band, and the partials compose into the same blocked-canonical
+    /// residual bits as the sequential backends. Graphs too small for
+    /// block-aligned ranges pay one sequential blocked scan instead.
     fn propagate_into_norm(&self, coeff: f64, x: &[f64], y: &mut [f64]) -> f64 {
-        let g = self.graph.get();
-        let n = g.n();
-        assert_eq!(x.len(), n);
-        assert_eq!(y.len(), n);
-        let strip = self.strips.resolve(self.tile, g, n, g.m(), 1);
-        if self.ranges.len() == 1 {
-            return tiling::gather_range(g, &self.inv_out_deg, coeff, x, y, 0..n as NodeId, strip);
-        }
-        let inv = &self.inv_out_deg;
-        if tiling::ranges_block_aligned(&self.ranges) {
-            return tiling::par_ranges_norm(&self.ranges, y, |slice, start, end| {
-                tiling::gather_range(g, inv, coeff, x, slice, start..end, strip);
-            });
-        }
-        self.propagate_into(coeff, x, y);
-        tiling::blocked_norm(y)
+        gather::propagate_norm(self.graph.get(), &self.inv_out_deg, &self.ranges, coeff, x, y)
     }
 
     fn frontier_work(&self, active: &[NodeId]) -> Option<FrontierWork> {
@@ -192,29 +142,7 @@ impl Propagator for ParallelTransition<'_> {
     /// same disjoint-write scheme as the scalar path — bit-identical to
     /// the sequential block kernel, no atomics.
     fn propagate_block_into(&self, coeff: f64, x: &ScoreBlock, y: &mut ScoreBlock) {
-        let g = self.graph.get();
-        let n = g.n();
-        assert_eq!(x.n(), n, "input block height mismatch");
-        assert_eq!(y.n(), n, "output block height mismatch");
-        assert_eq!(x.lanes(), y.lanes(), "lane count mismatch");
-        let lanes = x.lanes();
-        let strip = self.strips.resolve(self.tile, g, n, g.m(), lanes);
-        if self.ranges.len() == 1 {
-            tiling::block_gather_range(
-                g,
-                &self.inv_out_deg,
-                coeff,
-                x,
-                y.data_mut(),
-                0..n as NodeId,
-                strip,
-            );
-            return;
-        }
-        let inv = &self.inv_out_deg;
-        tiling::par_ranges(&self.ranges, lanes, y.data_mut(), |slice, start, end| {
-            tiling::block_gather_range(g, inv, coeff, x, slice, start..end, strip)
-        });
+        gather::propagate_block(self.graph.get(), &self.inv_out_deg, &self.ranges, coeff, x, y);
     }
 }
 
@@ -243,19 +171,6 @@ mod tests {
             par.propagate_into(0.85, &x, &mut y_par);
             assert_eq!(y_seq, y_par, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn strip_mining_is_bitwise_invisible_across_threads() {
-        let g = test_graph();
-        let flat = ParallelTransition::new(&g, 3).with_tile_policy(TilePolicy::Flat);
-        let strip = ParallelTransition::new(&g, 3).with_tile_policy(TilePolicy::Strip(37));
-        let x: Vec<f64> = (0..g.n()).map(|i| (i % 7) as f64 / 7.0).collect();
-        let mut y_flat = vec![0.0; g.n()];
-        let mut y_strip = vec![0.0; g.n()];
-        flat.propagate_into(0.85, &x, &mut y_flat);
-        strip.propagate_into(0.85, &x, &mut y_strip);
-        assert_eq!(y_flat, y_strip);
     }
 
     #[test]
@@ -326,21 +241,31 @@ mod tests {
 
     #[test]
     fn parallel_residual_fold_matches_sequential_bitwise() {
-        // n spans several NORM_BLOCKs, so the parallel backend really
-        // folds per-worker partials — and must still return the exact
+        // n spans several NORM_BLOCKs, so the parallel backends really
+        // fold per-worker partials — and must still return the exact
         // bits of the sequential fused fold (and of a full CPI run's
-        // convergence decisions).
+        // convergence decisions). The second input runs the same
+        // block-aligned fold over overlay rows: a patched view published
+        // from a threaded overlay against the rebuilt CSR.
+        use crate::batch::ScoreBlock;
+        use crate::DynamicTransition;
         use rand::{rngs::StdRng, SeedableRng};
+        use tpa_graph::{DynamicGraph, EdgeUpdate};
         let mut rng = StdRng::seed_from_u64(97);
         let g = lfr_lite(LfrConfig { n: 10_000, m: 60_000, ..Default::default() }, &mut rng).graph;
+        let n = g.n();
         let seq = Transition::new(&g);
-        let x: Vec<f64> = (0..g.n()).map(|i| (i % 17) as f64 / 17.0).collect();
-        let mut y_seq = vec![0.0; g.n()];
+        let x: Vec<f64> = (0..n).map(|i| (i % 17) as f64 / 17.0).collect();
+        let mut xb = ScoreBlock::zeros(n, 8);
+        for (i, e) in xb.data_mut().iter_mut().enumerate() {
+            *e = ((i * 7) % 23) as f64 / 23.0;
+        }
+        let mut y_seq = vec![0.0; n];
         let norm_seq = seq.propagate_into_norm(0.85, &x, &mut y_seq);
         for threads in [2usize, 3] {
             let par = ParallelTransition::new(&g, threads);
             assert!(par.ranges().len() > 1, "threads = {threads}");
-            let mut y_par = vec![0.0; g.n()];
+            let mut y_par = vec![0.0; n];
             let norm_par = par.propagate_into_norm(0.85, &x, &mut y_par);
             assert_eq!(y_seq, y_par, "threads = {threads}");
             assert_eq!(norm_seq.to_bits(), norm_par.to_bits(), "threads = {threads}");
@@ -349,6 +274,33 @@ mod tests {
             assert_eq!(a.scores, b.scores);
             assert_eq!(a.last_iteration, b.last_iteration);
             assert_eq!(a.final_residual.to_bits(), b.final_residual.to_bits());
+
+            let mut overlay =
+                DynamicTransition::new(DynamicGraph::new(g.clone()).with_compact_threshold(None))
+                    .with_threads(threads);
+            overlay.apply(&[
+                EdgeUpdate::Insert(3, 9_000),
+                EdgeUpdate::Insert(9_000, 3),
+                EdgeUpdate::Insert(4_500, 8_300),
+                EdgeUpdate::Delete(3, 9_000),
+                EdgeUpdate::Insert(7, 5_000),
+            ]);
+            let patched = overlay.publish_patched();
+            assert!(patched.delta_edges() > 0);
+            assert_eq!(patched.threads(), threads);
+            let rebuilt = overlay.graph().snapshot();
+            let reference = Transition::new(&rebuilt);
+            let mut y_ref = vec![0.0; n];
+            let mut y_patched = vec![0.0; n];
+            let norm_ref = reference.propagate_into_norm(0.85, &x, &mut y_ref);
+            let norm_patched = patched.propagate_into_norm(0.85, &x, &mut y_patched);
+            assert_eq!(y_ref, y_patched, "patched, threads = {threads}");
+            assert_eq!(norm_ref.to_bits(), norm_patched.to_bits(), "patched, threads = {threads}");
+            let mut yb_ref = ScoreBlock::zeros(n, 8);
+            let mut yb_patched = ScoreBlock::zeros(n, 8);
+            reference.propagate_block_into(0.85, &xb, &mut yb_ref);
+            patched.propagate_block_into(0.85, &xb, &mut yb_patched);
+            assert_eq!(yb_ref.data(), yb_patched.data(), "patched, threads = {threads}");
         }
     }
 

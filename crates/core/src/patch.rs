@@ -17,8 +17,8 @@
 //!   the only `O(n)` terms left in a publish, with no edge traversal),
 //!
 //! frozen at one epoch. It implements [`Propagator`] with the same
-//! shared kernels ([`crate::tiling`]) over the same
-//! [`OverlayRows`](crate::dynamic) view as the live overlay, so its
+//! shared gather kernels over the same [`OverlayRows`](crate::dynamic)
+//! view as the live overlay, so its
 //! scores — residuals included — are **bitwise identical** to the
 //! writer's overlay and, by the `dynamic_equiv` property suite, to a
 //! CSR rebuilt from scratch. Readers at epoch `e+1` therefore see
@@ -29,7 +29,7 @@
 
 use crate::dynamic::OverlayRows;
 use crate::frontier::{self, FrontierScratch, FrontierStep, FrontierWork};
-use crate::tiling::{self, TilePolicy};
+use crate::gather;
 use crate::transition::dense_frontier_fallback;
 use crate::Propagator;
 use std::collections::HashMap;
@@ -53,8 +53,6 @@ pub struct PatchedTransition {
     /// Pending patch entries the view carries over its base.
     delta_edges: usize,
     ranges: Vec<(u32, u32)>,
-    tile: TilePolicy,
-    strips: tiling::StripCache,
 }
 
 impl std::fmt::Debug for PatchedTransition {
@@ -110,22 +108,10 @@ impl PatchedTransition {
         m: usize,
         delta_edges: usize,
         ranges: Vec<(u32, u32)>,
-        tile: TilePolicy,
     ) -> Self {
         debug_assert_eq!(inv_out_deg.len(), base.n());
         debug_assert_eq!(in_dirty.len(), base.n());
-        Self {
-            base,
-            inv_out_deg,
-            in_dirty,
-            in_rows,
-            out_rows,
-            m,
-            delta_edges,
-            ranges,
-            tile,
-            strips: tiling::StripCache::new(),
-        }
+        Self { base, inv_out_deg, in_dirty, in_rows, out_rows, m, delta_edges, ranges }
     }
 
     /// Number of nodes.
@@ -156,14 +142,6 @@ impl PatchedTransition {
         &self.base
     }
 
-    /// Overrides the cache-blocking policy (bit-identical; only
-    /// throughput changes). Resets the resolved-strip cache.
-    pub fn with_tile_policy(mut self, tile: TilePolicy) -> Self {
-        self.tile = tile;
-        self.strips = tiling::StripCache::new();
-        self
-    }
-
     fn rows(&self) -> OverlayRows<'_> {
         OverlayRows { base: &self.base, in_dirty: &self.in_dirty, dirty_rows: &self.in_rows }
     }
@@ -182,46 +160,11 @@ impl Propagator for PatchedTransition {
     /// patch state: identical rows, identical accumulation order,
     /// bitwise-identical scores.
     fn propagate_into(&self, coeff: f64, x: &[f64], y: &mut [f64]) {
-        let n = self.n();
-        assert_eq!(x.len(), n, "input vector length mismatch");
-        assert_eq!(y.len(), n, "output vector length mismatch");
-        let rows = self.rows();
-        let strip = self.strips.resolve(self.tile, &rows, n, self.m, 1);
-        if self.ranges.len() == 1 {
-            tiling::gather_range(&rows, &self.inv_out_deg, coeff, x, y, 0..n as NodeId, strip);
-            return;
-        }
-        let inv = &self.inv_out_deg;
-        tiling::par_ranges(&self.ranges, 1, y, |slice, start, end| {
-            tiling::gather_range(&rows, inv, coeff, x, slice, start..end, strip);
-        });
+        gather::propagate(&self.rows(), &self.inv_out_deg, &self.ranges, coeff, x, y);
     }
 
     fn propagate_into_norm(&self, coeff: f64, x: &[f64], y: &mut [f64]) -> f64 {
-        let n = self.n();
-        assert_eq!(x.len(), n, "input vector length mismatch");
-        assert_eq!(y.len(), n, "output vector length mismatch");
-        let rows = self.rows();
-        let strip = self.strips.resolve(self.tile, &rows, n, self.m, 1);
-        if self.ranges.len() == 1 {
-            return tiling::gather_range(
-                &rows,
-                &self.inv_out_deg,
-                coeff,
-                x,
-                y,
-                0..n as NodeId,
-                strip,
-            );
-        }
-        let inv = &self.inv_out_deg;
-        if tiling::ranges_block_aligned(&self.ranges) {
-            return tiling::par_ranges_norm(&self.ranges, y, |slice, start, end| {
-                tiling::gather_range(&rows, inv, coeff, x, slice, start..end, strip);
-            });
-        }
-        self.propagate_into(coeff, x, y);
-        tiling::blocked_norm(y)
+        gather::propagate_norm(&self.rows(), &self.inv_out_deg, &self.ranges, coeff, x, y)
     }
 
     fn frontier_work(&self, active: &[NodeId]) -> Option<FrontierWork> {
@@ -266,29 +209,7 @@ impl Propagator for PatchedTransition {
         x: &crate::batch::ScoreBlock,
         y: &mut crate::batch::ScoreBlock,
     ) {
-        let n = self.n();
-        assert_eq!(x.n(), n, "input block height mismatch");
-        assert_eq!(y.n(), n, "output block height mismatch");
-        assert_eq!(x.lanes(), y.lanes(), "lane count mismatch");
-        let lanes = x.lanes();
-        let rows = self.rows();
-        let strip = self.strips.resolve(self.tile, &rows, n, self.m, lanes);
-        if self.ranges.len() == 1 {
-            tiling::block_gather_range(
-                &rows,
-                &self.inv_out_deg,
-                coeff,
-                x,
-                y.data_mut(),
-                0..n as NodeId,
-                strip,
-            );
-            return;
-        }
-        let inv = &self.inv_out_deg;
-        tiling::par_ranges(&self.ranges, lanes, y.data_mut(), |slice, start, end| {
-            tiling::block_gather_range(&rows, inv, coeff, x, slice, start..end, strip)
-        });
+        gather::propagate_block(&self.rows(), &self.inv_out_deg, &self.ranges, coeff, x, y);
     }
 }
 

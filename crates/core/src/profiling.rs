@@ -6,7 +6,7 @@
 //! kernels did* while it ran — CPI iterations, the per-iteration
 //! [`crate::FrontierPolicy::Auto`] direction decisions, sparse vs dense
 //! edge work, sparse-kernel mid-gather bails, OSP offset propagations,
-//! and [`crate::TilePolicy::Auto`] strip-vs-flat resolutions.
+//! and bounded top-k sweeps.
 //!
 //! Counters are process-wide relaxed atomics, flushed **once per kernel
 //! run** from locally accumulated values — never inside the iteration
@@ -30,8 +30,6 @@ static SPARSE_EDGE_WORK: AtomicU64 = AtomicU64::new(0);
 static DENSE_EDGE_WORK: AtomicU64 = AtomicU64::new(0);
 static OFFSET_RUNS: AtomicU64 = AtomicU64::new(0);
 static OFFSET_ITERATIONS: AtomicU64 = AtomicU64::new(0);
-static STRIP_RESOLUTIONS: AtomicU64 = AtomicU64::new(0);
-static FLAT_RESOLUTIONS: AtomicU64 = AtomicU64::new(0);
 static TOPK_RUNS: AtomicU64 = AtomicU64::new(0);
 static TOPK_BOUND_CHECKS: AtomicU64 = AtomicU64::new(0);
 static TOPK_EARLY_TERMINATIONS: AtomicU64 = AtomicU64::new(0);
@@ -62,8 +60,6 @@ pub fn reset_profiling() {
         &DENSE_EDGE_WORK,
         &OFFSET_RUNS,
         &OFFSET_ITERATIONS,
-        &STRIP_RESOLUTIONS,
-        &FLAT_RESOLUTIONS,
         &TOPK_RUNS,
         &TOPK_BOUND_CHECKS,
         &TOPK_EARLY_TERMINATIONS,
@@ -123,15 +119,6 @@ pub(crate) fn record_topk_run(bound_checks: u64, early_terminated: bool, pruned_
     TOPK_PRUNED_NODES.fetch_add(pruned_nodes, Ordering::Relaxed); // ord: monotonic tally increment; no other memory is published with it
 }
 
-/// One [`crate::TilePolicy::Auto`] resolution (fresh, not memoized).
-pub(crate) fn record_tile_resolution(strip: bool) {
-    if strip {
-        STRIP_RESOLUTIONS.fetch_add(1, Ordering::Relaxed); // ord: monotonic tally increment; no other memory is published with it
-    } else {
-        FLAT_RESOLUTIONS.fetch_add(1, Ordering::Relaxed); // ord: monotonic tally increment; no other memory is published with it
-    }
-}
-
 /// A point-in-time reading of the kernel profiling counters
 /// (process-wide totals since the last [`reset_profiling`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -159,10 +146,6 @@ pub struct KernelProfile {
     pub offset_runs: u64,
     /// Total iterations across offset propagations.
     pub offset_iterations: u64,
-    /// [`crate::TilePolicy::Auto`] resolutions that picked strip-mining.
-    pub strip_resolutions: u64,
-    /// [`crate::TilePolicy::Auto`] resolutions that picked the flat kernel.
-    pub flat_resolutions: u64,
     /// Bounded top-k sweeps run (exact-bounds requests that reached a
     /// kernel; dense fallbacks never start a bounded sweep).
     pub topk_runs: u64,
@@ -203,8 +186,6 @@ pub fn kernel_profile() -> KernelProfile {
         dense_edge_work: DENSE_EDGE_WORK.load(Ordering::Relaxed), // ord: statistical snapshot; counters are independent, cross-counter skew is fine
         offset_runs: OFFSET_RUNS.load(Ordering::Relaxed), // ord: statistical snapshot; counters are independent, cross-counter skew is fine
         offset_iterations: OFFSET_ITERATIONS.load(Ordering::Relaxed), // ord: statistical snapshot; counters are independent, cross-counter skew is fine
-        strip_resolutions: STRIP_RESOLUTIONS.load(Ordering::Relaxed), // ord: statistical snapshot; counters are independent, cross-counter skew is fine
-        flat_resolutions: FLAT_RESOLUTIONS.load(Ordering::Relaxed), // ord: statistical snapshot; counters are independent, cross-counter skew is fine
         topk_runs: TOPK_RUNS.load(Ordering::Relaxed), // ord: statistical snapshot; counters are independent, cross-counter skew is fine
         topk_bound_checks: TOPK_BOUND_CHECKS.load(Ordering::Relaxed), // ord: statistical snapshot; counters are independent, cross-counter skew is fine
         topk_early_terminations: TOPK_EARLY_TERMINATIONS.load(Ordering::Relaxed), // ord: statistical snapshot; counters are independent, cross-counter skew is fine

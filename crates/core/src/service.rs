@@ -88,8 +88,8 @@ use crate::error::check_seeds;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::offcore::DiskGraph;
 use crate::{
-    cpi_policy, CpiConfig, FrontierPolicy, ParallelTransition, Propagator, SeedSet, TilePolicy,
-    TpaError, TpaIndex, TpaParams, Transition,
+    cpi_policy, CpiConfig, FrontierPolicy, ParallelTransition, Propagator, SeedSet, TpaError,
+    TpaIndex, TpaParams, Transition,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -1646,15 +1646,14 @@ enum IndexSpec {
 }
 
 /// One place for every serving knob that used to be a scattered
-/// `QueryEngine::with_*` call: graph source, worker threads, tile and
-/// frontier policies, lane tile, CPI config, reordering, index, and
+/// `QueryEngine::with_*` call: graph source, worker threads, frontier
+/// policy, lane tile, CPI config, reordering, index, and
 /// staleness policy. `build()` validates the combination and returns a
 /// ready [`RwrService`] — or a [`TpaError`] explaining what's wrong,
 /// instead of a panic halfway through construction.
 pub struct ServiceBuilder {
     source: GraphSource,
     threads: usize,
-    tile: TilePolicy,
     frontier: FrontierPolicy,
     lane_tile: usize,
     exact_cfg: CpiConfig,
@@ -1678,7 +1677,6 @@ impl ServiceBuilder {
         ServiceBuilder {
             source,
             threads: 1,
-            tile: TilePolicy::Auto,
             frontier: FrontierPolicy::Auto,
             lane_tile: crate::engine::DEFAULT_LANE_TILE,
             exact_cfg: CpiConfig::default(),
@@ -1719,13 +1717,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Cache-blocking policy for the in-memory kernels (bitwise
-    /// invisible; see [`TilePolicy`]).
-    pub fn tile_policy(mut self, tile: TilePolicy) -> Self {
-        self.tile = tile;
-        self
-    }
-
     /// Default [`FrontierPolicy`] for scalar requests (a request-level
     /// [`QueryRequest::with_frontier`] overrides it).
     pub fn frontier(mut self, policy: FrontierPolicy) -> Self {
@@ -1747,7 +1738,7 @@ impl ServiceBuilder {
     }
 
     /// Relabels the served graph for cache locality (see
-    /// [`tpa_graph::reorder`]); transparent to callers — seeds map in,
+    /// [`mod@tpa_graph::reorder`]); transparent to callers — seeds map in,
     /// scores and update endpoints map through. Refused for out-of-core
     /// sources and when the attached index already stores an ordering.
     pub fn reordering(mut self, strategy: ReorderStrategy) -> Self {
@@ -1930,13 +1921,9 @@ impl ServiceBuilder {
                     None => Arc::new(g),
                 };
                 let backend = if sequential {
-                    EngineBackend::Sequential(
-                        Transition::shared(served).with_tile_policy(self.tile),
-                    )
+                    EngineBackend::Sequential(Transition::shared(served))
                 } else {
-                    EngineBackend::Parallel(
-                        ParallelTransition::shared(served, threads).with_tile_policy(self.tile),
-                    )
+                    EngineBackend::Parallel(ParallelTransition::shared(served, threads))
                 };
                 let index = resolve_index(self.index, &backend, &perm)?;
                 let cache =
@@ -1988,9 +1975,8 @@ impl ServiceBuilder {
                 // The overlay never self-compacts inline: the graph's
                 // threshold becomes the *background* compaction trigger,
                 // keeping every inline `O(n + m)` fold off the write path.
-                let overlay = DynamicTransition::new(dg.with_compact_threshold(None))
-                    .with_threads(threads)
-                    .with_tile_policy(self.tile);
+                let overlay =
+                    DynamicTransition::new(dg.with_compact_threshold(None)).with_threads(threads);
                 // Epoch 0 publishes copy-on-write too — no CSR rebuild
                 // anywhere on the dynamic serving path.
                 let backend = EngineBackend::Patched(overlay.publish_patched());

@@ -2,7 +2,7 @@
 
 use crate::batch::ScoreBlock;
 use crate::frontier::{self, FrontierScratch, FrontierStep, FrontierWork};
-use crate::tiling::{self, TilePolicy};
+use crate::gather;
 use std::sync::Arc;
 use tpa_graph::{CsrGraph, NodeId};
 
@@ -40,15 +40,14 @@ pub trait Propagator {
 
     /// [`Propagator::propagate_into`] that also returns `‖y‖₁` in the
     /// blocked-canonical association (per-`NORM_BLOCK` partials folded in
-    /// ascending block order; see [`crate::tiling`]), so CPI's
-    /// convergence check costs nothing extra and every backend — fused,
-    /// parallel-partial, or sparse — produces the identical residual
-    /// bits. The default propagates and then scans; the in-memory
+    /// ascending block order), so CPI's convergence check costs nothing
+    /// extra and every backend — fused, parallel-partial, or sparse —
+    /// produces the identical residual bits. The default propagates and then scans; the in-memory
     /// backends fuse the fold into the kernel's destination loop, and
     /// the multi-range backends fold per-worker partials.
     fn propagate_into_norm(&self, coeff: f64, x: &[f64], y: &mut [f64]) -> f64 {
         self.propagate_into(coeff, x, y);
-        tiling::blocked_norm(y)
+        gather::blocked_norm(y)
     }
 
     /// Cost probe for a sparse-frontier step over `active` (the
@@ -115,17 +114,13 @@ impl GraphHandle<'_> {
 ///
 /// The propagation `y ← (1−c)·Ãᵀ·x` is implemented as a *gather* over
 /// in-edges: each node pulls `x[u]/outdeg(u)` from its in-neighbors `u`.
-/// Writes are sequential (good for cache), reads are the random part —
-/// which is why the kernel routes through the cache-blocking layer in
-/// [`crate::tiling`]: once `x` outgrows L2 (and the graph is dense
-/// enough for strip reuse) the gather is strip-mined, bit-identically.
+/// Writes are sequential (good for cache), reads are the random part;
+/// relabeling the graph ([`mod@tpa_graph::reorder`]) is what makes them
+/// local. The kernel is the one flat gather every in-memory backend
+/// shares, run here over a single destination range.
 pub struct Transition<'g> {
     graph: GraphHandle<'g>,
     inv_out_deg: Vec<f64>,
-    tile: TilePolicy,
-    /// Memoized sampled `Auto` tile decisions (the graph is immutable
-    /// for this backend's lifetime).
-    strips: tiling::StripCache,
 }
 
 impl std::fmt::Debug for Transition<'_> {
@@ -138,31 +133,14 @@ impl<'g> Transition<'g> {
     /// Binds the operator to a graph, precomputing `1/outdeg`.
     pub fn new(graph: &'g CsrGraph) -> Self {
         let inv_out_deg = graph.inv_out_degrees();
-        Self {
-            graph: GraphHandle::Borrowed(graph),
-            inv_out_deg,
-            tile: TilePolicy::Auto,
-            strips: tiling::StripCache::new(),
-        }
+        Self { graph: GraphHandle::Borrowed(graph), inv_out_deg }
     }
 
     /// Binds the operator to a shared-ownership graph (used by reordered
     /// engines, which own the permuted graph they serve).
     pub fn shared(graph: Arc<CsrGraph>) -> Transition<'static> {
         let inv_out_deg = graph.inv_out_degrees();
-        Transition {
-            graph: GraphHandle::Shared(graph),
-            inv_out_deg,
-            tile: TilePolicy::Auto,
-            strips: tiling::StripCache::new(),
-        }
-    }
-
-    /// Overrides the cache-blocking policy (default: the
-    /// [`TilePolicy::Auto`] cost model).
-    pub fn with_tile_policy(mut self, tile: TilePolicy) -> Self {
-        self.tile = tile;
-        self
+        Transition { graph: GraphHandle::Shared(graph), inv_out_deg }
     }
 
     /// The underlying graph.
@@ -180,18 +158,13 @@ impl<'g> Transition<'g> {
     /// `y ← coeff · Ãᵀ·x`. `x` and `y` must both have length `n` and be
     /// distinct buffers.
     pub fn propagate_into(&self, coeff: f64, x: &[f64], y: &mut [f64]) {
-        self.propagate_norm(coeff, x, y);
+        gather::propagate(self.graph.get(), &self.inv_out_deg, &self.range(), coeff, x, y);
     }
 
-    /// The kernel behind both [`Transition::propagate_into`] and the
-    /// fused-residual [`Propagator::propagate_into_norm`].
-    fn propagate_norm(&self, coeff: f64, x: &[f64], y: &mut [f64]) -> f64 {
-        let g = self.graph.get();
-        let n = g.n();
-        assert_eq!(x.len(), n, "input vector length mismatch");
-        assert_eq!(y.len(), n, "output vector length mismatch");
-        let strip = self.strips.resolve(self.tile, g, n, g.m(), 1);
-        tiling::gather_range(g, &self.inv_out_deg, coeff, x, y, 0..n as NodeId, strip)
+    /// The single destination range covering every node.
+    #[inline]
+    fn range(&self) -> [(u32, u32); 1] {
+        [(0, self.n() as u32)]
     }
 
     /// Precomputed `1/outdeg` weights (0.0 for dangling nodes).
@@ -209,24 +182,10 @@ impl Propagator for Transition<'_> {
         Transition::propagate_into(self, coeff, x, y)
     }
     fn propagate_block_into(&self, coeff: f64, x: &ScoreBlock, y: &mut ScoreBlock) {
-        let g = self.graph.get();
-        let n = g.n();
-        assert_eq!(x.n(), n, "input block height mismatch");
-        assert_eq!(y.n(), n, "output block height mismatch");
-        assert_eq!(x.lanes(), y.lanes(), "lane count mismatch");
-        let strip = self.strips.resolve(self.tile, g, n, g.m(), x.lanes());
-        tiling::block_gather_range(
-            g,
-            &self.inv_out_deg,
-            coeff,
-            x,
-            y.data_mut(),
-            0..n as NodeId,
-            strip,
-        );
+        gather::propagate_block(self.graph.get(), &self.inv_out_deg, &self.range(), coeff, x, y);
     }
     fn propagate_into_norm(&self, coeff: f64, x: &[f64], y: &mut [f64]) -> f64 {
-        self.propagate_norm(coeff, x, y)
+        gather::propagate_norm(self.graph.get(), &self.inv_out_deg, &self.range(), coeff, x, y)
     }
     fn frontier_work(&self, active: &[NodeId]) -> Option<FrontierWork> {
         let g = self.graph.get();
@@ -343,18 +302,5 @@ mod tests {
         shared.propagate_into(0.85, &x, &mut y2);
         assert_eq!(y1, y2);
         assert_eq!(shared.graph(), &g);
-    }
-
-    #[test]
-    fn forced_strip_policy_matches_flat_bitwise() {
-        let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 3), (2, 0)]);
-        let flat = Transition::new(&g).with_tile_policy(TilePolicy::Flat);
-        let strip = Transition::new(&g).with_tile_policy(TilePolicy::Strip(2));
-        let x: Vec<f64> = (0..5).map(|i| (i as f64 + 1.0) / 7.0).collect();
-        let mut y1 = vec![0.0; 5];
-        let mut y2 = vec![0.0; 5];
-        flat.propagate_into(0.85, &x, &mut y1);
-        strip.propagate_into(0.85, &x, &mut y2);
-        assert_eq!(y1, y2);
     }
 }

@@ -12,14 +12,11 @@
 //!    in-rows.
 //! 3. Reordered engines (`with_reordering` × `with_frontier`): the
 //!    permuted gather must stay bitwise stable under every policy.
-//! 4. Tile policies × frontier policies: strip-mining and frontier
-//!    scheduling compose without touching results.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use tpa_core::{
-    cpi_policy, CpiConfig, FrontierPolicy, ParallelTransition, QueryEngine, SeedSet, TilePolicy,
-    Transition,
+    cpi_policy, CpiConfig, FrontierPolicy, ParallelTransition, QueryEngine, SeedSet, Transition,
 };
 use tpa_graph::gen::erdos_renyi_gnm;
 use tpa_graph::{CsrGraph, DynamicGraph, EdgeUpdate, NodeId, ReorderStrategy};
@@ -170,28 +167,6 @@ proptest! {
                 .with_frontier(policy)
                 .query(seed);
             prop_assert_eq!(&dynamic, &dense, "dyn {} {}", strategy.name(), policy.name());
-        }
-    }
-
-    /// Invariant 4: tile × frontier policies compose bitwise.
-    #[test]
-    fn tiling_and_frontier_compose_bitwise(
-        n in 8usize..50,
-        gseed in 0u64..300,
-        width in 1usize..120,
-    ) {
-        let g = random_graph(n, gseed);
-        let cfg = CpiConfig::default();
-        let seeds = SeedSet::single((n / 2) as NodeId);
-        let flat = Transition::new(&g).with_tile_policy(TilePolicy::Flat);
-        let reference = cpi_policy(&flat, &seeds, &cfg, 0, None, FrontierPolicy::Dense);
-        let strip = Transition::new(&g).with_tile_policy(TilePolicy::Strip(width));
-        for policy in POLICIES {
-            prop_assert_eq!(
-                &cpi_policy(&strip, &seeds, &cfg, 0, None, policy).scores,
-                &reference.scores,
-                "strip({}) under {}", width, policy.name()
-            );
         }
     }
 }

@@ -8,13 +8,13 @@
 //! 2. **Reordered backends agree bitwise** — all three backends serve
 //!    the *same* permuted graph, so their answers must be identical to
 //!    the last bit, exactly as they are un-reordered.
-//! 3. **Tiling is invisible** — forced strip-mining of any width is
-//!    bit-identical to the flat kernel on every backend (the strip
-//!    kernels replay the flat kernel's floating-point chain exactly).
+//! 3. **One gather, any split** — the sequential and the range-split
+//!    parallel backends run the same flat gather, so their scalar and
+//!    block propagations are bit-identical.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use tpa_core::{ParallelTransition, Propagator, QueryEngine, TilePolicy, TpaParams, Transition};
+use tpa_core::{ParallelTransition, Propagator, QueryEngine, TpaParams, Transition};
 use tpa_graph::gen::erdos_renyi_gnm;
 use tpa_graph::{CsrGraph, DynamicGraph, NodeId, ReorderStrategy};
 
@@ -114,39 +114,33 @@ proptest! {
         }
     }
 
-    /// Invariant 3: any strip width is bitwise invisible, scalar and
-    /// block, sequential and parallel.
+    /// Invariant 3: the sequential and parallel backends agree bitwise,
+    /// scalar and block.
     #[test]
-    fn strip_width_is_bitwise_invisible(
+    fn sequential_and_parallel_gathers_agree_bitwise(
         n in 8usize..60,
         gseed in 0u64..500,
-        width in 1usize..200,
         threads in 2usize..5,
     ) {
         let g = random_graph(n, gseed);
+        let seq = Transition::new(&g);
+        let par = ParallelTransition::new(&g, threads);
         let x: Vec<f64> = (0..n).map(|i| ((i * 31) % 17) as f64 / 17.0).collect();
-        let mut y_flat = vec![0.0; n];
-        let mut y_strip = vec![0.0; n];
-        Transition::new(&g)
-            .with_tile_policy(TilePolicy::Flat)
-            .propagate_into(0.85, &x, &mut y_flat);
-        Transition::new(&g)
-            .with_tile_policy(TilePolicy::Strip(width))
-            .propagate_into(0.85, &x, &mut y_strip);
-        prop_assert_eq!(&y_flat, &y_strip);
+        let mut y_seq = vec![0.0; n];
+        let mut y_par = vec![0.0; n];
+        seq.propagate_into(0.85, &x, &mut y_seq);
+        par.propagate_into(0.85, &x, &mut y_par);
+        prop_assert_eq!(&y_seq, &y_par);
 
-        let par_flat = ParallelTransition::new(&g, threads).with_tile_policy(TilePolicy::Flat);
-        let par_strip =
-            ParallelTransition::new(&g, threads).with_tile_policy(TilePolicy::Strip(width));
         let mut xb = tpa_core::batch::ScoreBlock::zeros(n, 4);
         for (i, e) in xb.data_mut().iter_mut().enumerate() {
             *e = ((i * 7) % 23) as f64 / 23.0;
         }
-        let mut yb_flat = tpa_core::batch::ScoreBlock::zeros(n, 4);
-        let mut yb_strip = tpa_core::batch::ScoreBlock::zeros(n, 4);
-        par_flat.propagate_block_into(0.85, &xb, &mut yb_flat);
-        par_strip.propagate_block_into(0.85, &xb, &mut yb_strip);
-        prop_assert_eq!(yb_flat.data(), yb_strip.data());
+        let mut yb_seq = tpa_core::batch::ScoreBlock::zeros(n, 4);
+        let mut yb_par = tpa_core::batch::ScoreBlock::zeros(n, 4);
+        seq.propagate_block_into(0.85, &xb, &mut yb_seq);
+        par.propagate_block_into(0.85, &xb, &mut yb_par);
+        prop_assert_eq!(yb_seq.data(), yb_par.data());
     }
 
     /// Reordered dynamic engines accept old-id updates and keep

@@ -2,7 +2,7 @@
 //! **an `exact_bounds` request returns exactly the same top-k set, in
 //! exactly the same order (including id tie-breaks), as the dense
 //! partial-selection path** — on every backend, under every frontier
-//! policy, every tile width, every reordering, indexed or exact, and on
+//! policy, every reordering, indexed or exact, and on
 //! dirty dynamic overlays and patched epochs. The bounds may only ever
 //! save work, never move a result.
 //!
@@ -16,8 +16,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use tpa_core::offcore::DiskGraph;
 use tpa_core::{
-    FrontierPolicy, QueryRequest, QueryResult, RwrService, ServiceBuilder, TilePolicy, TpaError,
-    TpaParams,
+    FrontierPolicy, QueryRequest, QueryResult, RwrService, ServiceBuilder, TpaError, TpaParams,
 };
 use tpa_graph::gen::{erdos_renyi_gnm, star_graph};
 use tpa_graph::{CsrGraph, DynamicGraph, EdgeUpdate, NodeId, ReorderStrategy};
@@ -94,14 +93,13 @@ proptest! {
         }
     }
 
-    /// Frontier policies and tile widths may reschedule the sweep the
-    /// bounds ride, never move a result.
+    /// Frontier policies may reschedule the sweep the bounds ride,
+    /// never move a result.
     #[test]
-    fn frontier_policies_and_tiles_hold_the_contract(
+    fn frontier_policies_hold_the_contract(
         n in 8usize..50,
         gseed in 0u64..300,
         seed_frac in 0.0f64..1.0,
-        width in 1usize..120,
         which_k in 0usize..3,
     ) {
         let g = random_graph(n, gseed);
@@ -110,7 +108,6 @@ proptest! {
         for policy in POLICIES {
             let service = ServiceBuilder::in_memory(g.clone())
                 .frontier(policy)
-                .tile_policy(TilePolicy::Strip(width))
                 .build()
                 .unwrap();
             assert_bounded_matches(&service, seed, k, policy.name());

@@ -14,7 +14,7 @@
 //!   SBM, LFR-lite (power-law degrees + planted communities), plus
 //!   null-model rewiring controls for Fig. 6.
 //! * [`io`] — SNAP/KONECT edge-list parsing and a binary snapshot codec.
-//! * [`reorder`] — cache-locality relabeling: [`Permutation`] plus
+//! * [`mod@reorder`] — cache-locality relabeling: [`Permutation`] plus
 //!   degree-descending / RCM / hub-cluster orderings consumed by the
 //!   propagation engine ([`CsrGraph::permuted`] applies one).
 //!

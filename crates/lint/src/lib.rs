@@ -125,7 +125,7 @@ impl Config {
                 "core/src/patch.rs",
                 "core/src/topk.rs",
                 "core/src/batch.rs",
-                "core/src/tiling.rs",
+                "core/src/gather.rs",
                 "core/src/transition.rs",
                 "core/src/parallel.rs",
                 "core/src/dynamic.rs",

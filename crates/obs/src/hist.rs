@@ -19,7 +19,7 @@ pub const BUCKETS: usize = LINEAR_MAX as usize + OCTAVES * (1 << SUB_BITS);
 const SHARDS: usize = 8;
 
 /// Maps a value to its bucket index. Total over `u64`, monotone, and
-/// exact below [`LINEAR_MAX`].
+/// exact below `LINEAR_MAX`.
 #[inline]
 pub fn bucket_index(v: u64) -> usize {
     if v < LINEAR_MAX {
