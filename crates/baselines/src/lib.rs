@@ -58,8 +58,8 @@ use tpa_graph::NodeId;
 /// (or exact) RWR score vector. Preprocessing, if any, happened at
 /// construction time.
 ///
-/// Every implementor also serves the [`tpa_core::QueryEngine`] plan
-/// shapes — multi-seed batches and top-k rankings — through the provided
+/// Every implementor also serves the [`tpa_core::QueryRequest`] shapes
+/// — multi-seed batches and top-k rankings — through the provided
 /// methods below, so the serving layer can drive any method
 /// interchangeably. Methods with a faster batched path (e.g. [`Tpa`],
 /// whose fused block kernel shares edge passes across each lane tile of the batch) override

@@ -1,21 +1,24 @@
 //! TPA wrapped in the common [`RwrMethod`] interface so the experiment
 //! harness can run it side by side with the competitors. Queries route
-//! through the [`QueryEngine`] serving layer, so this wrapper serves the
-//! same plans (single, batched, top-k) as the production path.
+//! through an [`RwrService`] built once at preprocess, so this wrapper
+//! serves the same requests (single, batched, top-k) as the production
+//! path.
 
 use crate::{MemoryBudget, PreprocessError, RwrMethod};
 use std::sync::Arc;
-use tpa_core::{QueryEngine, TpaIndex, TpaParams};
+use tpa_core::{QueryRequest, RwrService, ServiceBuilder, TpaError, TpaIndex, TpaParams};
 use tpa_graph::{CsrGraph, NodeId};
 
 /// The proposed method (paper Algorithms 2 & 3) as an [`RwrMethod`].
 pub struct Tpa {
-    graph: Arc<CsrGraph>,
+    service: RwrService,
     index: Arc<TpaIndex>,
 }
 
 impl Tpa {
-    /// Runs the preprocessing phase (stranger approximation).
+    /// Runs the preprocessing phase (stranger approximation) and builds
+    /// the service that answers every query (sharing the graph and the
+    /// index, no copies).
     pub fn preprocess(
         graph: Arc<CsrGraph>,
         params: TpaParams,
@@ -24,7 +27,11 @@ impl Tpa {
         // TPA's index is one f64 per node.
         budget.check("TPA", graph.n() * 8)?;
         let index = Arc::new(TpaIndex::preprocess(&graph, params));
-        Ok(Self { graph, index })
+        let service = ServiceBuilder::in_memory(graph)
+            .index(Arc::clone(&index))
+            .build()
+            .map_err(|e| PreprocessError::Numerical("TPA", e.to_string()))?;
+        Ok(Self { service, index })
     }
 
     /// Access to the inner index (for part-wise experiments).
@@ -32,10 +39,13 @@ impl Tpa {
         &self.index
     }
 
-    /// A [`QueryEngine`] serving this method's graph and index (the
-    /// engine borrows the graph; the index is shared).
-    pub fn engine(&self) -> QueryEngine<'_> {
-        QueryEngine::sequential(&self.graph).with_index(Arc::clone(&self.index))
+    /// Runs one request; panics with the rendered [`TpaError`], like
+    /// every other [`RwrMethod`] on a bad seed.
+    fn scores(&self, req: &QueryRequest) -> Vec<Vec<f64>> {
+        self.service
+            .submit(req)
+            .map(|resp| resp.result.into_scores())
+            .unwrap_or_else(|e: TpaError| panic!("{e}"))
     }
 }
 
@@ -45,7 +55,7 @@ impl RwrMethod for Tpa {
     }
 
     fn query(&self, seed: NodeId) -> Vec<f64> {
-        self.engine().query(seed)
+        self.scores(&QueryRequest::single(seed)).pop().unwrap_or_default()
     }
 
     fn index_bytes(&self) -> usize {
@@ -53,10 +63,10 @@ impl RwrMethod for Tpa {
     }
 
     /// Batched override: lane tiles of seeds share edge passes through
-    /// the engine's fused block kernel (bit-identical to per-seed
+    /// the service's fused block kernel (bit-identical to per-seed
     /// queries).
     fn query_batch(&self, seeds: &[NodeId]) -> Vec<Vec<f64>> {
-        self.engine().query_batch(seeds)
+        self.scores(&QueryRequest::batch(seeds.to_vec()))
     }
 }
 

@@ -1,6 +1,6 @@
-//! Engine serving throughput: seeds/second across backend × batch size.
+//! Serving throughput: seeds/second across backend × batch size.
 //!
-//! The serving claim behind the `QueryEngine` layer: answering a batch of
+//! The serving claim behind `RwrService` batching: answering a batch of
 //! B seeds through the fused block kernel shares one edge pass per CPI
 //! iteration across all B lanes, so per-seed cost drops with the batch
 //! size — while staying bit-identical to per-seed queries. This binary
@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 use tpa_bench::harness::{load_dataset, results_dir};
-use tpa_core::{QueryEngine, TpaIndex, TpaParams};
+use tpa_core::{FrontierPolicy, QueryRequest, RwrService, ServiceBuilder, TpaIndex, TpaParams};
 use tpa_eval::Table;
 use tpa_graph::NodeId;
 
@@ -25,29 +25,27 @@ const ROUNDS: usize = 5;
 
 fn main() {
     let d = load_dataset("slashdot-s");
-    let g = &d.graph;
+    let g = Arc::clone(&d.graph);
     eprintln!("[engine_throughput] slashdot-s: n={} m={}", g.n(), g.m());
 
     let params = TpaParams::new(d.spec.s, d.spec.t);
-    let index = Arc::new(TpaIndex::preprocess(g, params));
+    let index = Arc::new(TpaIndex::preprocess(&g, params));
     let threads = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
 
     // The baseline pins FrontierPolicy::Dense: this bench isolates the
     // *batching* lever (shared edge passes), and frontier-auto singles
     // would fold the sparse-frontier win into the denominator — see
     // `query_latency` for that axis. Batched lanes are dense either way.
-    let dense = tpa_core::FrontierPolicy::Dense;
-    let baseline = QueryEngine::sequential(g).with_index(Arc::clone(&index)).with_frontier(dense);
-    let engines = [
-        (
-            "sequential",
-            QueryEngine::sequential(g).with_index(Arc::clone(&index)).with_frontier(dense),
-        ),
-        (
-            "parallel",
-            QueryEngine::parallel(g, threads).with_index(Arc::clone(&index)).with_frontier(dense),
-        ),
-    ];
+    let service = |threads: usize| {
+        ServiceBuilder::in_memory(Arc::clone(&g))
+            .threads(threads)
+            .index(Arc::clone(&index))
+            .frontier(FrontierPolicy::Dense)
+            .build()
+            .expect("valid serving configuration")
+    };
+    let baseline = service(1);
+    let engines = [("sequential", service(1)), ("parallel", service(threads))];
 
     let n = g.n();
     let seeds: Vec<NodeId> = (0..256).map(|i| ((i * 2654435761) % n) as NodeId).collect();
@@ -97,24 +95,24 @@ fn main() {
     );
 }
 
-/// Seconds per seed answering every seed with its own single-seed plan
-/// (the pre-engine serving pattern), results collected per 32 like a
-/// request batch.
-fn serve_singles(engine: &QueryEngine<'_>, seeds: &[NodeId]) -> f64 {
+/// Seconds per seed answering every seed with its own single-seed
+/// request (the unbatched serving pattern), results collected per 32
+/// like a request batch.
+fn serve_singles(service: &RwrService, seeds: &[NodeId]) -> f64 {
     let (_, dt) = tpa_eval::time(|| {
         for chunk in seeds.chunks(32) {
-            let out: Vec<Vec<f64>> = chunk.iter().map(|&s| engine.query(s)).collect();
+            let out: Vec<Vec<f64>> = chunk.iter().map(|&s| service.query(s).unwrap()).collect();
             std::hint::black_box(out);
         }
     });
     dt.as_secs_f64() / seeds.len() as f64
 }
 
-/// Seconds per seed answering the workload in `batch`-sized plans.
-fn serve_batched(engine: &QueryEngine<'_>, seeds: &[NodeId], batch: usize) -> f64 {
+/// Seconds per seed answering the workload in `batch`-sized requests.
+fn serve_batched(service: &RwrService, seeds: &[NodeId], batch: usize) -> f64 {
     let (_, dt) = tpa_eval::time(|| {
         for chunk in seeds.chunks(batch) {
-            let out = engine.query_batch(chunk);
+            let out = service.submit(&QueryRequest::batch(chunk.to_vec())).unwrap().result;
             std::hint::black_box(out);
         }
     });

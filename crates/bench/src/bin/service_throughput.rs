@@ -22,8 +22,11 @@
 //!    the epoch-swapped service keep answering from the previous epoch
 //!    the whole time, so their worst-case request latency stays at
 //!    normal-query scale. The pre-redesign architecture — a
-//!    `Mutex<QueryEngine>`, the only way to share the old single-owner
-//!    API across threads — blocks every reader for the entire refresh.
+//!    single-owner server behind one mutex, the only way to share a
+//!    `&mut self` update API across threads — blocks every reader for
+//!    the entire refresh. It is modeled here as a second service behind
+//!    a `Mutex<()>` that readers hold per query and the writer holds
+//!    across `apply_updates` + `refresh_index`.
 //!    The probe measures the worst reader-observed request latency
 //!    under both architectures; the bar is that the mutex architecture
 //!    stalls readers ≥ 2× longer than the service (in practice it is
@@ -41,9 +44,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use tpa_bench::harness::results_dir;
 use tpa_bench::report::{ns_to_secs, BenchReport};
-use tpa_core::{
-    IndexStalenessPolicy, QueryEngine, QueryRequest, RwrService, ServiceBuilder, TpaParams,
-};
+use tpa_core::{IndexStalenessPolicy, QueryRequest, RwrService, ServiceBuilder, TpaParams};
 use tpa_eval::Table;
 use tpa_graph::gen::{rmat, RmatConfig};
 use tpa_graph::{CsrGraph, DynamicGraph, EdgeUpdate, NodeId, Permutation};
@@ -141,17 +142,17 @@ fn main() {
         tpa_eval::format_secs(publish_p99),
     );
 
-    // --- Measurement 2: the stall probe (service vs Mutex<QueryEngine>).
+    // --- Measurement 2: the stall probe (service vs one global mutex).
     let refresh_rounds = if quick { 2 } else { 3 };
     let service_stall = service_stall_probe(&service, n, refresh_rounds);
-    let mutex_stall = mutex_engine_stall_probe(&g, n, refresh_rounds);
+    let mutex_stall = mutex_stall_probe(&g, n, refresh_rounds);
     let stall_ratio = mutex_stall.max_request / service_stall.max_request.max(1e-12);
 
     print!("{}", table.render());
     println!(
         "stall probe over {refresh_rounds} full index refreshes (refresh ≈ {}):\n  \
          epoch-swap service: worst reader request {}\n  \
-         Mutex<QueryEngine> (old architecture): worst reader request {}\n  \
+         global mutex (old architecture): worst reader request {}\n  \
          stall ratio {stall_ratio:.1}x",
         tpa_eval::format_secs(service_stall.refresh_secs),
         tpa_eval::format_secs(service_stall.max_request),
@@ -309,37 +310,41 @@ fn service_stall_probe(service: &Arc<RwrService>, n: usize, rounds: usize) -> St
     StallProbe { max_request, refresh_secs }
 }
 
-/// The same probe against the pre-redesign architecture: one
-/// `Mutex<QueryEngine>` shared by reader and writer, the writer holding
-/// the lock across apply + refresh (the old API gives no other choice —
-/// `apply_updates`/`refresh_index` need `&mut self`).
-fn mutex_engine_stall_probe(g: &CsrGraph, n: usize, rounds: usize) -> StallProbe {
-    let engine =
-        Arc::new(Mutex::new(QueryEngine::dynamic(DynamicGraph::new(g.clone())).preprocess(PARAMS)));
-    let done = Arc::new(AtomicBool::new(false));
+/// The same probe against the pre-redesign architecture: one global
+/// lock shared by reader and writer, the writer holding it across the
+/// apply and the refresh (a single-owner `&mut self` update API gives
+/// no other choice). A fresh service stands in for the single-owner
+/// server; the `Mutex<()>` supplies the serialization.
+fn mutex_stall_probe(g: &CsrGraph, n: usize, rounds: usize) -> StallProbe {
+    let service = ServiceBuilder::dynamic(DynamicGraph::new(g.clone()))
+        .preprocess(PARAMS)
+        .staleness(IndexStalenessPolicy { threshold: f64::INFINITY, auto_refresh: false })
+        .build()
+        .expect("valid serving configuration");
+    let lock = Mutex::new(());
+    let done = AtomicBool::new(false);
     let mut max_request = 0.0f64;
     std::thread::scope(|scope| {
-        let reader = {
-            let engine = Arc::clone(&engine);
-            let done = Arc::clone(&done);
-            scope.spawn(move || {
-                let mut worst = 0.0f64;
-                let mut q = 0usize;
-                // ord: Acquire pairs with the harness's Release store of the done flag
-                while !done.load(Ordering::Acquire) {
-                    let seed = ((q * 613 + 29) % n) as NodeId;
-                    let (scores, dt) = tpa_eval::time(|| engine.lock().unwrap().query(seed));
-                    std::hint::black_box(&scores);
-                    worst = worst.max(dt.as_secs_f64());
-                    q += 1;
-                }
-                worst
-            })
-        };
+        let reader = scope.spawn(|| {
+            let mut worst = 0.0f64;
+            let mut q = 0usize;
+            // ord: Acquire pairs with the harness's Release store of the done flag
+            while !done.load(Ordering::Acquire) {
+                let seed = ((q * 613 + 29) % n) as NodeId;
+                let (scores, dt) = tpa_eval::time(|| {
+                    let _held = lock.lock().unwrap();
+                    service.query(seed).unwrap()
+                });
+                std::hint::black_box(&scores);
+                worst = worst.max(dt.as_secs_f64());
+                q += 1;
+            }
+            worst
+        });
         for round in 0..rounds {
-            let mut e = engine.lock().unwrap();
-            e.apply_updates(&update_batch(round, n)).unwrap();
-            e.refresh_index();
+            let _held = lock.lock().unwrap();
+            service.apply_updates(&update_batch(round, n)).unwrap();
+            service.refresh_index().unwrap();
         }
         done.store(true, Ordering::Release); // ord: Release pairs with the reader's Acquire poll of the done flag
         max_request = reader.join().expect("reader thread");

@@ -7,9 +7,9 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 use tpa_core::{
-    top_k_scored, AdmissionConfig, CpiConfig, DegradationLevel, FrontierPolicy,
-    IndexStalenessPolicy, MaintenanceMode, QueryEngine, QueryRequest, QueryResponse, ScoreCache,
-    ServiceBuilder, ShedPolicy, TpaIndex, TpaParams,
+    AdmissionConfig, DegradationLevel, EngineBackend, FrontierPolicy, IndexStalenessPolicy,
+    MaintenanceMode, QueryRequest, QueryResponse, RwrService, ServiceBuilder, ShedPolicy, TpaIndex,
+    TpaParams,
 };
 use tpa_graph::{
     algo, io as gio, reorder, CsrGraph, DynamicGraph, EdgeUpdate, NodeId, ReorderStrategy,
@@ -643,8 +643,8 @@ fn parse_stream_file(path: &str) -> Result<Vec<StreamEvent>, String> {
 }
 
 /// `update`: replay an edge-update stream with interleaved queries on a
-/// dynamic delta-overlay engine. Consecutive edge updates are applied as
-/// one batch at each query/compact boundary.
+/// dynamic [`RwrService`]. Consecutive edge updates are published as one
+/// epoch at each query/compact boundary.
 fn cmd_update(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let g = load_graph(args.required("graph").map_err(|e| e.to_string())?)?;
     let events = parse_stream_file(args.required("stream").map_err(|e| e.to_string())?)?;
@@ -684,26 +684,19 @@ fn cmd_update(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 
     let dynamic = DynamicGraph::new(g).with_compact_threshold(Some(compact_threshold));
     let threads = args.get_or::<usize>("threads", 1).map_err(|e| e.to_string())?;
-    let engine = if threads == 1 {
-        QueryEngine::dynamic(dynamic)
-    } else {
-        QueryEngine::dynamic_parallel(dynamic, threads)
-    };
-    let mut engine = engine
-        .with_staleness_policy(IndexStalenessPolicy {
+    let mut builder =
+        ServiceBuilder::dynamic(dynamic).threads(threads).staleness(IndexStalenessPolicy {
             threshold: stale_threshold,
             auto_refresh: args.switch("auto-refresh"),
-        })
-        .map_err(|e| e.to_string())?;
+        });
     let metrics = metrics_registry_flag(args);
     let metrics_every = metrics_every_flag(args)?;
     if let Some((_, reg)) = &metrics {
-        engine = engine.with_metrics(Arc::clone(reg));
+        builder = builder.metrics(Arc::clone(reg));
     }
-    // Attach after --metrics-out so the gate records into the registry.
     let (deadline, admission) = admission_flags(args)?;
     if let Some(cfg) = admission {
-        engine = engine.with_admission(cfg).map_err(|e| e.to_string())?;
+        builder = builder.admission(cfg);
     }
     if let Some(path) = args.get("index") {
         let f = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
@@ -714,9 +707,24 @@ fn cmd_update(args: &Args, out: &mut dyn Write) -> Result<(), String> {
                 index.stranger().len()
             ));
         }
-        engine = engine.with_index(index);
+        builder = builder.index(index);
     }
-    let mut cache = maintain.then(|| ScoreCache::new(CpiConfig::default(), MaintenanceMode::Exact));
+    if maintain {
+        // Pin every seed the stream queries: the service keeps their
+        // exact lanes current at each publish, and `.exact()` requests
+        // below are answered straight from the cache.
+        let mut seeds: Vec<NodeId> = events
+            .iter()
+            .filter_map(|ev| match *ev {
+                StreamEvent::Query(seed) => Some(seed),
+                _ => None,
+            })
+            .collect();
+        seeds.sort_unstable();
+        seeds.dedup();
+        builder = builder.score_cache(seeds, MaintenanceMode::Exact);
+    }
+    let service = builder.build().map_err(|e| e.to_string())?;
 
     let mut pending: Vec<EdgeUpdate> = Vec::new();
     let mut stats = ReplayStats::default();
@@ -738,41 +746,26 @@ fn cmd_update(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         match *ev {
             StreamEvent::Update(up) => pending.push(up),
             StreamEvent::Compact => {
-                flush_updates(&mut engine, &mut cache, &mut pending, patch_index, &mut stats)?;
+                flush_updates(&service, &mut pending, patch_index, &mut stats)?;
                 dump_metrics(&stats, false)?;
-                engine.compact_dynamic().map_err(|e| e.to_string())?;
+                service.compact().map_err(|e| e.to_string())?;
                 stats.compactions += 1;
             }
             StreamEvent::Query(seed) => {
-                flush_updates(&mut engine, &mut cache, &mut pending, patch_index, &mut stats)?;
+                flush_updates(&service, &mut pending, patch_index, &mut stats)?;
                 dump_metrics(&stats, false)?;
                 stats.queries += 1;
-                let mut degradation = DegradationLevel::None;
-                let ranked = match &mut cache {
-                    Some(cache) => {
-                        let t = engine.dynamic_transition().expect("dynamic backend");
-                        if !cache.contains(seed) {
-                            let (_, dt) = tpa_eval::time(|| cache.warm(t, &[seed]));
-                            stats.update_time += dt;
-                        }
-                        let (ranked, dt) =
-                            tpa_eval::time(|| top_k_scored(&cache.scores(seed).unwrap(), top));
-                        stats.query_time += dt;
-                        ranked
-                    }
-                    None => {
-                        let mut request = QueryRequest::single(seed).top_k(top);
-                        if let Some(d) = deadline {
-                            request = request.with_deadline(d);
-                        }
-                        let (resp, dt) = tpa_eval::time(|| engine.submit(&request));
-                        let resp = resp.map_err(|e| e.to_string())?;
-                        stats.query_time += dt;
-                        degradation = resp.degradation;
-                        resp.result.into_ranked().pop().unwrap()
-                    }
-                };
-                match degradation {
+                let mut request = QueryRequest::single(seed).top_k(top);
+                if maintain {
+                    request = request.exact();
+                }
+                if let Some(d) = deadline {
+                    request = request.with_deadline(d);
+                }
+                let (resp, dt) = tpa_eval::time(|| service.submit(&request));
+                let resp = resp.map_err(|e| e.to_string())?;
+                stats.query_time += dt;
+                match resp.degradation {
                     DegradationLevel::None => {
                         let _ = writeln!(out, "query seed {seed} (top {top}):");
                     }
@@ -780,14 +773,19 @@ fn cmd_update(args: &Args, out: &mut dyn Write) -> Result<(), String> {
                         let _ = writeln!(out, "query seed {seed} (top {top}, degraded: {level}):");
                     }
                 }
+                let ranked = resp.result.into_ranked().pop().unwrap_or_default();
                 print_ranking(out, &ranked);
             }
         }
     }
-    flush_updates(&mut engine, &mut cache, &mut pending, patch_index, &mut stats)?;
+    flush_updates(&service, &mut pending, patch_index, &mut stats)?;
     dump_metrics(&stats, true)?;
 
-    let t = engine.dynamic_transition().expect("dynamic backend");
+    let snap = service.snapshot();
+    let (m, patch_entries) = match snap.backend() {
+        EngineBackend::Patched(p) => (p.m(), p.delta_edges()),
+        other => return Err(format!("dynamic service published a {} snapshot", other.name())),
+    };
     let _ = writeln!(
         out,
         "\nreplayed {} events: {} edges changed ({} no-ops) in {} batches, {} queries",
@@ -801,12 +799,12 @@ fn cmd_update(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         out,
         "graph now {} nodes / {} edges ({} patch entries pending), {} compactions, \
          {} index refreshes{}",
-        t.n(),
-        t.graph().m(),
-        t.graph().delta_edges(),
+        snap.n(),
+        m,
+        patch_entries,
         stats.compactions,
         stats.refreshes,
-        if engine.index_stale() { " — index STALE (refresh advised)" } else { "" }
+        if service.index_stale() { " — index STALE (refresh advised)" } else { "" }
     );
     if patch_index {
         let _ =
@@ -839,14 +837,15 @@ struct ReplayStats {
     query_time: std::time::Duration,
 }
 
-/// Applies the pending update batch to the engine (and the maintained
-/// cache, when present), folding the outcome into `stats`. With
-/// `patch_index`, a batch that tips the index past its staleness
-/// threshold triggers an incremental stranger patch instead of leaving
-/// the index flagged stale.
+/// Publishes the pending update batch (the service refreshes any pinned
+/// score-cache lanes as part of the publish), folding the outcome into
+/// `stats`. A base rebuild the batch triggered is joined and installed
+/// before returning, so compactions land at the same point of the
+/// stream on every run. With `patch_index`, a batch that tips the index
+/// past its staleness threshold triggers an incremental stranger patch
+/// instead of leaving the index flagged stale.
 fn flush_updates(
-    engine: &mut QueryEngine<'_>,
-    cache: &mut Option<ScoreCache>,
+    service: &RwrService,
     pending: &mut Vec<EdgeUpdate>,
     patch_index: bool,
     stats: &mut ReplayStats,
@@ -854,23 +853,20 @@ fn flush_updates(
     if pending.is_empty() {
         return Ok(());
     }
-    let (report, dt) = tpa_eval::time(|| engine.apply_updates(pending));
-    let report = report.map_err(|e| e.to_string())?;
-    stats.update_time += dt;
+    let (outcome, dt) = tpa_eval::time(|| service.apply_updates(pending));
+    let outcome = outcome.map_err(|e| e.to_string())?;
+    let (installed, dt_compact) = tpa_eval::time(|| service.flush_compaction());
+    stats.update_time += dt + dt_compact;
     stats.batches += 1;
+    let report = &outcome.report;
     stats.applied += report.delta.stats.inserted + report.delta.stats.deleted;
     stats.noops += report.delta.stats.noops;
-    stats.compactions += report.delta.stats.compacted as usize;
+    stats.compactions += installed as usize;
     stats.refreshes += report.index_refreshed as usize;
     if patch_index && report.index_stale {
-        let (patched, dt) = tpa_eval::time(|| engine.patch_index());
+        let (patched, dt) = tpa_eval::time(|| service.patch_index());
         stats.update_time += dt;
-        stats.patches += patched.map_err(|e| e.to_string())? as usize;
-    }
-    if let Some(cache) = cache {
-        let t = engine.dynamic_transition().expect("dynamic backend");
-        let (_, dt) = tpa_eval::time(|| cache.refresh(t, &report.delta));
-        stats.update_time += dt;
+        stats.patches += (patched.map_err(|e| e.to_string())? != outcome.epoch) as usize;
     }
     pending.clear();
     Ok(())
@@ -1154,7 +1150,7 @@ mod tests {
 
     #[test]
     fn update_maintained_ranking_matches_engine_ranking() {
-        // The maintained cache and the plain engine must agree on the
+        // The maintained cache and the plain service must agree on the
         // final ranking (same graph state, exact scores either way).
         let d = tmpdir("update-agree");
         let graph = d.join("g.bin");

@@ -200,7 +200,7 @@ impl TpaIndex {
     pub fn query_batch_on<P: Propagator + ?Sized>(&self, t: &P, seeds: &[NodeId]) -> Vec<Vec<f64>> {
         // Same admission guard as the scalar paths, rendered through
         // [`crate::TpaError`] so the message is uniform everywhere.
-        // lint:allow(panic-freedom, "documented panicking convenience mirroring TpaIndex::query; the concurrent serving path goes through QueryEngine::execute")
+        // lint:allow(panic-freedom, "documented panicking convenience mirroring TpaIndex::query; the serving path goes through RwrService::submit, which admits seeds and index dimensions before any kernel runs")
         self.check_backend(t).unwrap_or_else(|e| panic!("{e}"));
         let params = *self.params();
         let family = cpi_batch(t, seeds, &params.cpi_config(), 0, Some(params.s - 1));

@@ -1,13 +1,16 @@
-//! Dynamic RWR: propagation over the delta overlay plus OSP-style
-//! incremental score maintenance.
+//! Dynamic RWR: the writer-side delta overlay plus OSP-style offset
+//! propagation.
 //!
 //! Two pieces make the streaming workload serviceable:
 //!
-//! 1. [`DynamicTransition`] — the transition operator `Ãᵀ` bound to a
-//!    mutable [`DynamicGraph`]. It implements [`Propagator`], so every
-//!    CPI consumer (exact plans, `TpaIndex` preprocessing and queries,
-//!    batched lanes) runs unchanged over an evolving graph, and its
-//!    gather order matches a CSR rebuilt from scratch **bit for bit**.
+//! 1. [`DynamicTransition`] — the bookkeeping of the transition
+//!    operator `Ãᵀ` over a mutable [`DynamicGraph`]: `1/outdeg` kept
+//!    current across updates, and the merged in-rows of dirty
+//!    destinations materialized once per update. It runs no kernels
+//!    itself: [`DynamicTransition::publish_patched`] freezes its state
+//!    into an immutable [`crate::PatchedTransition`], whose gather order
+//!    matches a CSR rebuilt from scratch **bit for bit**. That is the
+//!    backend [`crate::RwrService`] serves every dynamic epoch from.
 //!
 //! 2. Offset Score Propagation (after *"Fast and Accurate Random Walk
 //!    with Restart on Dynamic Graphs with Guarantees"*, Yoon et al. —
@@ -23,21 +26,20 @@
 //!    `b` is supported only on the out-neighborhoods of nodes whose
 //!    adjacency changed, and `‖b‖₁` scales with the update batch — so
 //!    propagating the offset costs a few sparse-ish CPI iterations
-//!    instead of a full from-scratch rerun. [`ScoreCache`] maintains a
-//!    working set of score vectors this way, with an exact mode (refresh
-//!    to the CPI tolerance) and an approximate mode that drops offset
-//!    mass below a tolerance for an `L1` error bounded by
+//!    instead of a full from-scratch rerun. The overlay builds `b`
+//!    ([`DynamicTransition::offset_seed_for`]); [`propagate_offset_policy`]
+//!    sweeps it through the published view. The service keeps its
+//!    hot-seed score cache ([`crate::ServiceBuilder::score_cache`]) and
+//!    the index's stranger vector current this way, with an exact mode
+//!    (refresh to the CPI tolerance) and an approximate mode that drops
+//!    offset mass below a tolerance for an `L1` error bounded by
 //!    `2·tolerance / c` per refresh: the geometric series
 //!    `Σ (1−c)^i = 1/c` amplifies the ≤ `tolerance` of dropped seed
 //!    mass by at most `1/c`, and stopping once the residual falls below
 //!    `tolerance` leaves a tail of at most `tolerance·(1−c)/c` more.
 
-use crate::batch::cpi_batch;
-use crate::frontier::{
-    self, FrontierPolicy, FrontierScratch, FrontierStep, FrontierWork, SPARSE_CUMULATIVE_BUDGET,
-};
+use crate::frontier::{FrontierPolicy, FrontierScratch, SPARSE_CUMULATIVE_BUDGET};
 use crate::gather::{self, InAdjacency};
-use crate::transition::dense_frontier_fallback;
 use crate::{CpiConfig, Propagator};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -45,12 +47,12 @@ use tpa_graph::{CsrGraph, DynamicGraph, EdgeUpdate, NodeId};
 
 pub use tpa_graph::ApplyStats;
 
-/// The transition operator `Ãᵀ` over a [`DynamicGraph`]'s merged view,
-/// with `1/outdeg` maintained incrementally across updates.
-///
-/// Gather order is ascending in-neighbor order — identical to
-/// [`crate::Transition`] on a CSR rebuilt from the merged edge set, so
-/// scores are bitwise equal to a full rebuild.
+/// The writer-side state of the transition operator `Ãᵀ` over a
+/// [`DynamicGraph`]'s merged view, with `1/outdeg` maintained
+/// incrementally across updates. Queries never run on it: readers get
+/// the frozen view [`DynamicTransition::publish_patched`] returns, whose
+/// ascending in-neighbor gather order is identical to
+/// [`crate::Transition`] on a CSR rebuilt from the merged edge set.
 pub struct DynamicTransition {
     graph: DynamicGraph,
     inv_out_deg: Vec<f64>,
@@ -65,9 +67,9 @@ pub struct DynamicTransition {
     /// [`DynamicTransition::apply`]. Propagation runs ~100 edge sweeps
     /// per converged query, so paying one merge per *update* instead of
     /// one per *sweep* is a large win — and it gives every destination a
-    /// plain slice, which is what lets the overlay share the gather
-    /// kernels (and the identical gather order) of the static backends.
-    /// Rows are `Arc`'d so a copy-on-write publish
+    /// plain slice, which is what lets the published view share the
+    /// gather kernels (and the identical gather order) of the static
+    /// backends. Rows are `Arc`'d so a copy-on-write publish
     /// ([`DynamicTransition::publish_patched`]) shares them instead of
     /// deep-copying the accumulated overlay on every epoch.
     dirty_rows: HashMap<NodeId, Arc<Vec<NodeId>>>,
@@ -77,7 +79,8 @@ pub struct DynamicTransition {
     /// the mutable [`DynamicGraph`], so it reads these shared rows).
     out_rows: HashMap<NodeId, Arc<Vec<NodeId>>>,
     /// Destination ranges, one per worker (mirrors
-    /// [`crate::ParallelTransition`]; length 1 = sequential).
+    /// [`crate::ParallelTransition`]; length 1 = sequential), handed to
+    /// every published view.
     ranges: Vec<(u32, u32)>,
 }
 
@@ -89,8 +92,8 @@ impl std::fmt::Debug for DynamicTransition {
 
 /// The overlay's row view for the shared gather kernels: dirty
 /// destinations read their materialized merged row, everyone else reads
-/// the base CSC slice. Shared with [`crate::patch::PatchedTransition`],
-/// whose published state has exactly this shape.
+/// the base CSC slice. [`crate::patch::PatchedTransition`] gathers
+/// through it over its frozen copy of the overlay's rows.
 pub(crate) struct OverlayRows<'a> {
     pub(crate) base: &'a CsrGraph,
     pub(crate) in_dirty: &'a [bool],
@@ -130,13 +133,13 @@ pub struct UpdateDelta {
     pub sources: Vec<SourceDelta>,
     /// `Σ_u ‖Ã'[:,u] − Ã[:,u]‖₁` over the touched sources: the total L1
     /// change of the transition operator. Drives index staleness
-    /// accounting (see [`crate::QueryEngine::apply_updates`]).
+    /// accounting (see [`crate::RwrService::apply_updates`]).
     pub column_delta_mass: f64,
 }
 
 impl DynamicTransition {
     /// Binds the operator to a dynamic graph, computing `1/outdeg` from
-    /// the merged view. Single-threaded; see
+    /// the merged view. Publishes single-range views; see
     /// [`DynamicTransition::with_threads`] for destination-range
     /// parallelism.
     pub fn new(graph: DynamicGraph) -> Self {
@@ -165,12 +168,12 @@ impl DynamicTransition {
         Self { graph, inv_out_deg, in_dirty, dirty_rows, out_rows, ranges }
     }
 
-    /// Propagates with `threads` destination-range workers, mirroring
-    /// [`crate::ParallelTransition`]: each worker owns a contiguous band
-    /// of destinations balanced by base in-edge count, writes are
-    /// disjoint, and results stay bit-identical to the single-threaded
-    /// overlay (and to a rebuilt CSR). `0` means "use available
-    /// parallelism".
+    /// Publishes views that propagate with `threads` destination-range
+    /// workers, mirroring [`crate::ParallelTransition`]: each worker owns
+    /// a contiguous band of destinations balanced by base in-edge count,
+    /// writes are disjoint, and results stay bit-identical to a
+    /// single-range view (and to a rebuilt CSR). `0` means "use
+    /// available parallelism".
     pub fn with_threads(mut self, threads: usize) -> Self {
         let threads = if threads == 0 {
             std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1)
@@ -179,20 +182,6 @@ impl DynamicTransition {
         };
         self.ranges = gather::balance_ranges(self.graph.base().in_offsets(), threads);
         self
-    }
-
-    /// Number of destination-range workers.
-    pub fn threads(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// The kernels' row view over the current overlay state.
-    fn rows(&self) -> OverlayRows<'_> {
-        OverlayRows {
-            base: self.graph.base(),
-            in_dirty: &self.in_dirty,
-            dirty_rows: &self.dirty_rows,
-        }
     }
 
     /// Re-balances worker ranges against the current base snapshot
@@ -205,11 +194,6 @@ impl DynamicTransition {
     /// The underlying dynamic graph.
     pub fn graph(&self) -> &DynamicGraph {
         &self.graph
-    }
-
-    /// Consumes the operator, returning the graph.
-    pub fn into_graph(self) -> DynamicGraph {
-        self.graph
     }
 
     /// Number of nodes.
@@ -275,7 +259,8 @@ impl DynamicTransition {
 
     /// Folds the overlay into a fresh base snapshot. The merged view —
     /// and therefore the operator and every score — is unchanged; only
-    /// the neighbor-scan cost drops back to plain CSR slices.
+    /// the patch maps empty, so later published views gather from plain
+    /// CSR slices again.
     pub fn compact(&mut self) {
         self.graph.compact();
         self.in_dirty.iter_mut().for_each(|d| *d = false);
@@ -305,10 +290,9 @@ impl DynamicTransition {
     /// ranges are shared (`Arc` bumps and `O(dirty)` map clones); only
     /// the two flat per-node arrays (`1/outdeg`, dirty flags) are
     /// copied. No edge is touched — publishing scales with the overlay
-    /// delta, not with `m`. The view gathers through the identical
-    /// kernels and rows, so its scores are bitwise equal to this
-    /// overlay's (and, by the `dynamic_equiv` property tests, to a full
-    /// rebuild).
+    /// delta, not with `m`. The view gathers through the shared flat
+    /// kernels over these rows, so its scores are bitwise equal (by the
+    /// `dynamic_equiv` property tests) to a full rebuild.
     pub fn publish_patched(&self) -> crate::patch::PatchedTransition {
         crate::patch::PatchedTransition::assemble(
             Arc::clone(self.graph.base_arc()),
@@ -322,18 +306,14 @@ impl DynamicTransition {
         )
     }
 
-    /// The OSP offset seed `b = (1−c)·(Ã'ᵀ − Ãᵀ)·r` for one cached score
-    /// vector `r` (scores measured *before* the batch). Only the changed
-    /// columns contribute: `b[v] = (1−c)·Σ_u r[u]·(w'(u→v) − w(u→v))`.
-    pub fn offset_seed(&self, delta: &UpdateDelta, c: f64, old_scores: &[f64]) -> Vec<f64> {
-        self.offset_seed_for(&delta.sources, c, old_scores)
-    }
-
-    /// [`DynamicTransition::offset_seed`] against an explicit set of old
-    /// columns — the same columns may telescope across many batches (the
-    /// first pre-batch state per source), which is how the index's
-    /// stranger vector is patched long after the individual deltas were
-    /// folded in.
+    /// The OSP offset seed `b = (1−c)·(Ã'ᵀ − Ãᵀ)·r` for one score
+    /// vector `r` measured against the old columns in `sources`. Only the
+    /// changed columns contribute:
+    /// `b[v] = (1−c)·Σ_u r[u]·(w'(u→v) − w(u→v))`. The columns may be
+    /// one batch's [`UpdateDelta::sources`] or telescope across many
+    /// batches (the first pre-batch state per source), which is how the
+    /// index's stranger vector is patched long after the individual
+    /// deltas were folded in.
     pub fn offset_seed_for(&self, sources: &[SourceDelta], c: f64, old_scores: &[f64]) -> Vec<f64> {
         assert_eq!(old_scores.len(), self.n(), "cached scores are for a different graph");
         let mut b = vec![0.0f64; self.n()];
@@ -380,88 +360,7 @@ fn column_delta(
     mass
 }
 
-impl Propagator for DynamicTransition {
-    fn n(&self) -> usize {
-        self.graph.n()
-    }
-
-    /// Scalar gather over the overlay: unpatched destinations (the
-    /// overwhelming majority) read the base CSR slice, dirty ones their
-    /// materialized merged row — identical accumulation order either
-    /// way, so results match a rebuilt CSR bit for bit. Runs the same
-    /// gather kernels as the static backends, split over
-    /// destination-range workers when [`DynamicTransition::with_threads`]
-    /// asked for them.
-    fn propagate_into(&self, coeff: f64, x: &[f64], y: &mut [f64]) {
-        gather::propagate(&self.rows(), &self.inv_out_deg, &self.ranges, coeff, x, y);
-    }
-
-    /// Fused-residual variant: the single-range overlay folds `Σ|y|`
-    /// inside the kernel's destination loop for free; the multi-range
-    /// path folds per-worker per-block partials into the same
-    /// blocked-canonical chain (see [`crate::ParallelTransition`]), so
-    /// the residual stays bitwise identical across backends.
-    fn propagate_into_norm(&self, coeff: f64, x: &[f64], y: &mut [f64]) -> f64 {
-        gather::propagate_norm(&self.rows(), &self.inv_out_deg, &self.ranges, coeff, x, y)
-    }
-
-    fn frontier_work(&self, active: &[NodeId]) -> Option<FrontierWork> {
-        Some(FrontierWork {
-            frontier_edges: frontier::frontier_out_edges(&self.graph, active),
-            total_edges: self.graph.m(),
-        })
-    }
-
-    /// Sparse-frontier step over the overlay: discovery walks the merged
-    /// out-view, the masked gather reads the same merged in-rows as the
-    /// dense overlay kernels (dirty destinations hit their materialized
-    /// row, everyone else the base CSC slice), split over the worker
-    /// ranges when present — bit-identical to a rebuilt CSR.
-    fn propagate_frontier(
-        &self,
-        coeff: f64,
-        x: &[f64],
-        y: &mut [f64],
-        active: &[NodeId],
-        scratch: &mut FrontierScratch,
-    ) -> FrontierStep {
-        let n = self.n();
-        assert_eq!(x.len(), n, "input vector length mismatch");
-        assert_eq!(y.len(), n, "output vector length mismatch");
-        let rows = self.rows();
-        match frontier::sparse_step_ranged(
-            &self.graph,
-            &rows,
-            &self.inv_out_deg,
-            coeff,
-            x,
-            y,
-            active,
-            self.graph.m(),
-            &self.ranges,
-            scratch,
-        ) {
-            Some(step) => step,
-            None => dense_frontier_fallback(self, coeff, x, y, scratch),
-        }
-    }
-
-    /// Fused block kernel over the overlay: one adjacency pass per
-    /// iteration updates every lane (same accumulation order as the
-    /// scalar path, so results stay bit-identical to lane-by-lane
-    /// execution and to a rebuilt CSR), parallel over destination bands
-    /// like [`crate::ParallelTransition`].
-    fn propagate_block_into(
-        &self,
-        coeff: f64,
-        x: &crate::batch::ScoreBlock,
-        y: &mut crate::batch::ScoreBlock,
-    ) {
-        gather::propagate_block(&self.rows(), &self.inv_out_deg, &self.ranges, coeff, x, y);
-    }
-}
-
-/// How [`ScoreCache::refresh`] propagates the offset.
+/// How [`propagate_offset_policy`] maintains a score vector.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum MaintenanceMode {
     /// Propagate the offset to the CPI tolerance: cached scores track a
@@ -489,21 +388,7 @@ pub struct RefreshStats {
 }
 
 /// Propagates an offset seed through the current operator, folding the
-/// correction `Δ = Σ_i ((1−c)Ãᵀ)^i·b` into `scores` in place. Runs the
-/// dense kernels every iteration; see [`propagate_offset_policy`] for
-/// the direction-optimizing variant (bitwise identical, less memory
-/// traffic while the correction's support is small).
-pub fn propagate_offset<P: Propagator + ?Sized>(
-    t: &P,
-    offset: Vec<f64>,
-    cfg: &CpiConfig,
-    mode: MaintenanceMode,
-    scores: &mut [f64],
-) -> RefreshStats {
-    propagate_offset_policy(t, offset, cfg, mode, FrontierPolicy::Dense, scores)
-}
-
-/// [`propagate_offset`] with an explicit [`FrontierPolicy`]. The offset
+/// correction `Δ = Σ_i ((1−c)Ãᵀ)^i·b` into `scores` in place. The offset
 /// seed is sparse by construction — supported only on the changed
 /// sources' out-neighborhoods — which is exactly the shape the
 /// sparse-frontier kernel was built for, so `Auto` routes the first
@@ -656,172 +541,6 @@ pub fn propagate_offset_policy<P: Propagator + ?Sized>(
     stats
 }
 
-/// A maintained working set of RWR score vectors over a
-/// [`DynamicTransition`]: warm seeds from scratch once, then
-/// [`ScoreCache::refresh`] folds each update batch in via offset
-/// propagation instead of recomputing.
-///
-/// The cached vectors live interleaved in one
-/// [`crate::batch::ScoreBlock`] (lane `j` = seed `j`), so a refresh is a
-/// handful of fused block passes — one merged-adjacency traversal per
-/// iteration serves the whole working set, the same fusion the
-/// `QueryEngine` uses for batched plans — and the per-iteration fold is
-/// a single contiguous sweep.
-///
-/// Protocol: every [`DynamicTransition::apply`] must be followed by one
-/// `refresh` with the returned [`UpdateDelta`] before the next `apply` —
-/// the delta's old columns are relative to the cache's current scores.
-pub struct ScoreCache {
-    cfg: CpiConfig,
-    mode: MaintenanceMode,
-    seeds: Vec<NodeId>,
-    block: crate::batch::ScoreBlock,
-}
-
-impl std::fmt::Debug for ScoreCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScoreCache")
-            .field("seeds", &self.seeds.len())
-            .field("mode", &self.mode)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ScoreCache {
-    /// Empty cache with the given CPI config and maintenance mode.
-    pub fn new(cfg: CpiConfig, mode: MaintenanceMode) -> Self {
-        cfg.validate();
-        Self { cfg, mode, seeds: Vec::new(), block: crate::batch::ScoreBlock::zeros(0, 0) }
-    }
-
-    /// Computes (from scratch, one batched CPI run) and caches scores for
-    /// every seed not already cached.
-    pub fn warm<P: Propagator + ?Sized>(&mut self, t: &P, seeds: &[NodeId]) {
-        let mut fresh: Vec<NodeId> = Vec::new();
-        for &s in seeds {
-            if !self.seeds.contains(&s) && !fresh.contains(&s) {
-                fresh.push(s);
-            }
-        }
-        if fresh.is_empty() {
-            return;
-        }
-        let new_lanes = cpi_batch(t, &fresh, &self.cfg, 0, None);
-        let total = self.seeds.len() + fresh.len();
-        let mut merged = crate::batch::ScoreBlock::zeros(t.n(), total);
-        let mut tmp = vec![0.0f64; t.n()];
-        for j in 0..self.seeds.len() {
-            self.block.copy_lane_into(j, &mut tmp);
-            merged.set_lane(j, &tmp);
-        }
-        for k in 0..fresh.len() {
-            new_lanes.copy_lane_into(k, &mut tmp);
-            merged.set_lane(self.seeds.len() + k, &tmp);
-        }
-        self.block = merged;
-        self.seeds.extend(fresh);
-    }
-
-    /// True if `seed` is cached (no lane unpacking).
-    pub fn contains(&self, seed: NodeId) -> bool {
-        self.seeds.contains(&seed)
-    }
-
-    /// Cached scores for `seed`, if warmed (unpacked from the lane).
-    pub fn scores(&self, seed: NodeId) -> Option<Vec<f64>> {
-        self.seeds.iter().position(|&s| s == seed).map(|j| self.block.lane(j))
-    }
-
-    /// The cached seeds, in insertion order.
-    pub fn seeds(&self) -> Vec<NodeId> {
-        self.seeds.clone()
-    }
-
-    /// Number of cached score vectors.
-    pub fn len(&self) -> usize {
-        self.seeds.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.seeds.is_empty()
-    }
-
-    /// The maintenance mode refreshes run with.
-    pub fn mode(&self) -> MaintenanceMode {
-        self.mode
-    }
-
-    /// Folds one update batch into every cached vector by offset
-    /// propagation (see the module docs). Lanes stop together once the
-    /// worst per-lane residual is converged (extra iterations only
-    /// tighten the rest). Returns merged accounting (iterations, summed
-    /// masses across lanes).
-    pub fn refresh(&mut self, t: &DynamicTransition, delta: &UpdateDelta) -> RefreshStats {
-        use crate::batch::ScoreBlock;
-        let n = t.n();
-        let lanes = self.seeds.len();
-        let mut stats = RefreshStats::default();
-        if lanes == 0 {
-            return stats;
-        }
-        assert_eq!(self.block.n(), n, "cache was warmed on a different graph");
-        let stop_eps = match self.mode {
-            MaintenanceMode::Exact => self.cfg.eps,
-            MaintenanceMode::Approximate { tolerance } => {
-                assert!(tolerance > 0.0, "tolerance must be positive");
-                tolerance.max(self.cfg.eps)
-            }
-        };
-
-        // Offset seed per lane (from the pre-update cached scores).
-        let mut x = ScoreBlock::zeros(n, lanes);
-        let mut old = vec![0.0f64; n];
-        for j in 0..lanes {
-            self.block.copy_lane_into(j, &mut old);
-            let mut b = t.offset_seed(delta, self.cfg.c, &old);
-            stats.offset_mass += b.iter().map(|v| v.abs()).sum::<f64>();
-            if let MaintenanceMode::Approximate { tolerance } = self.mode {
-                let cut = tolerance / n.max(1) as f64;
-                for v in b.iter_mut() {
-                    if v.abs() < cut {
-                        stats.dropped_mass += v.abs();
-                        *v = 0.0;
-                    }
-                }
-            }
-            x.set_lane(j, &b);
-        }
-
-        let mut residual = fold_block(&mut self.block, &x);
-        if residual == 0.0 {
-            return stats;
-        }
-        let mut next = ScoreBlock::zeros(n, lanes);
-        while residual >= stop_eps && stats.iterations < self.cfg.max_iters {
-            stats.iterations += 1;
-            t.propagate_block_into(1.0 - self.cfg.c, &x, &mut next);
-            std::mem::swap(&mut x, &mut next);
-            residual = fold_block(&mut self.block, &x);
-        }
-        stats
-    }
-}
-
-/// `acc += x` over interleaved blocks in one contiguous sweep, returning
-/// the worst per-lane L1 norm of `x` (the refresh stopping residual).
-fn fold_block(acc: &mut crate::batch::ScoreBlock, x: &crate::batch::ScoreBlock) -> f64 {
-    let lanes = x.lanes().max(1);
-    let mut res = vec![0.0f64; lanes];
-    for (arow, xrow) in acc.data_mut().chunks_exact_mut(lanes).zip(x.data().chunks_exact(lanes)) {
-        for ((a, &v), r) in arow.iter_mut().zip(xrow).zip(res.iter_mut()) {
-            *a += v;
-            *r += v.abs();
-        }
-    }
-    res.into_iter().fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -853,13 +572,51 @@ mod tests {
         cpi(&Transition::new(&rebuilt), &SeedSet::single(seed), cfg, 0, None).scores
     }
 
+    /// Exact scores on the overlay's current published view.
+    fn exact_on(t: &DynamicTransition, seed: NodeId) -> Vec<f64> {
+        cpi(&t.publish_patched(), &SeedSet::single(seed), &CpiConfig::default(), 0, None).scores
+    }
+
+    /// Drops the updates a graph would treat as no-ops.
+    fn applicable(t: &DynamicTransition, updates: &[EdgeUpdate]) -> Vec<EdgeUpdate> {
+        updates
+            .iter()
+            .copied()
+            .filter(|u| match *u {
+                Insert(a, b) => !t.graph().has_edge(a, b),
+                Delete(a, b) => t.graph().has_edge(a, b),
+            })
+            .collect()
+    }
+
+    /// One OSP refresh of `scores` for the batch behind `delta`, swept
+    /// through the overlay's freshly published view — the service's
+    /// score-cache refresh for a single lane.
+    fn refresh(
+        t: &DynamicTransition,
+        delta: &UpdateDelta,
+        mode: MaintenanceMode,
+        scores: &mut [f64],
+    ) -> RefreshStats {
+        let cfg = CpiConfig::default();
+        let offset = t.offset_seed_for(&delta.sources, cfg.c, scores);
+        propagate_offset_policy(
+            &t.publish_patched(),
+            offset,
+            &cfg,
+            mode,
+            FrontierPolicy::Auto,
+            scores,
+        )
+    }
+
     #[test]
     fn clean_overlay_matches_csr_transition_bitwise() {
         let g = test_graph();
         let dyn_t = DynamicTransition::new(DynamicGraph::new(g.clone()));
         let cfg = CpiConfig::default();
         let a = cpi(&Transition::new(&g), &SeedSet::single(7), &cfg, 0, None).scores;
-        let b = cpi(&dyn_t, &SeedSet::single(7), &cfg, 0, None).scores;
+        let b = cpi(&dyn_t.publish_patched(), &SeedSet::single(7), &cfg, 0, None).scores;
         assert_eq!(a, b);
     }
 
@@ -870,7 +627,7 @@ mod tests {
         dyn_t.apply(&[Insert(0, 50), Insert(7, 120), Delete(7, 120), Insert(3, 3), Delete(0, 1)]);
         assert!(dyn_t.graph().is_dirty());
         let cfg = CpiConfig::default();
-        let overlay = cpi(&dyn_t, &SeedSet::single(7), &cfg, 0, None).scores;
+        let overlay = cpi(&dyn_t.publish_patched(), &SeedSet::single(7), &cfg, 0, None).scores;
         assert_eq!(overlay, rebuild_scores(dyn_t.graph(), 7, &cfg));
     }
 
@@ -879,6 +636,7 @@ mod tests {
         let g = test_graph();
         let mut seq = DynamicTransition::new(DynamicGraph::new(g.clone()));
         seq.apply(&[Insert(0, 50), Delete(0, 1), Insert(7, 120)]);
+        let seq = seq.publish_patched();
         let x: Vec<f64> = (0..g.n()).map(|i| (i % 11) as f64 / 11.0).collect();
         let mut y_seq = vec![0.0; g.n()];
         seq.propagate_into(0.85, &x, &mut y_seq);
@@ -892,6 +650,7 @@ mod tests {
             let mut par =
                 DynamicTransition::new(DynamicGraph::new(g.clone())).with_threads(threads);
             par.apply(&[Insert(0, 50), Delete(0, 1), Insert(7, 120)]);
+            let par = par.publish_patched();
             assert_eq!(par.threads(), threads);
             let mut y_par = vec![0.0; g.n()];
             par.propagate_into(0.85, &x, &mut y_par);
@@ -911,9 +670,11 @@ mod tests {
             .with_threads(4);
         let delta = t.apply(&[Insert(0, 50), Insert(50, 0)]);
         assert!(delta.stats.compacted);
+        let view = t.publish_patched();
+        assert_eq!(view.threads(), 4);
         let x = vec![1.0 / 200.0; 200];
         let mut y = vec![0.0; 200];
-        t.propagate_into(1.0, &x, &mut y);
+        view.propagate_into(1.0, &x, &mut y);
         let reference = cpi(
             &Transition::new(&t.graph().snapshot()),
             &SeedSet::single(3),
@@ -922,7 +683,8 @@ mod tests {
             None,
         )
         .scores;
-        let through_overlay = cpi(&t, &SeedSet::single(3), &CpiConfig::default(), 0, None).scores;
+        let through_overlay =
+            cpi(&view, &SeedSet::single(3), &CpiConfig::default(), 0, None).scores;
         assert_eq!(reference, through_overlay);
     }
 
@@ -945,26 +707,16 @@ mod tests {
         let g = test_graph();
         let cfg = CpiConfig::default();
         let mut t = DynamicTransition::new(DynamicGraph::new(g).with_compact_threshold(None));
-        let mut cache = ScoreCache::new(cfg, MaintenanceMode::Exact);
-        cache.warm(&t, &[3, 77]);
+        let mut lanes: Vec<Vec<f64>> = [3u32, 77].iter().map(|&s| exact_on(&t, s)).collect();
 
         let updates = [Insert(3, 90), Insert(90, 3), Delete(3, 4), Insert(10, 11), Delete(77, 78)];
-        let applicable: Vec<EdgeUpdate> = updates
-            .iter()
-            .copied()
-            .filter(|u| match *u {
-                Insert(a, b) => !t.graph().has_edge(a, b),
-                Delete(a, b) => t.graph().has_edge(a, b),
-            })
-            .collect();
-        let delta = t.apply(&applicable);
-        let stats = cache.refresh(&t, &delta);
-        assert!(stats.iterations > 0);
-        assert_eq!(stats.dropped_mass, 0.0);
-
-        for seed in [3u32, 77] {
+        let delta = t.apply(&applicable(&t, &updates));
+        for (seed, lane) in [3u32, 77].into_iter().zip(&mut lanes) {
+            let stats = refresh(&t, &delta, MaintenanceMode::Exact, lane);
+            assert!(stats.iterations > 0);
+            assert_eq!(stats.dropped_mass, 0.0);
             let fresh = rebuild_scores(t.graph(), seed, &cfg);
-            let err = l1(&cache.scores(seed).unwrap(), &fresh);
+            let err = l1(lane, &fresh);
             assert!(err < 1e-7, "seed {seed}: refreshed scores drifted {err}");
         }
     }
@@ -975,47 +727,45 @@ mod tests {
         let cfg = CpiConfig::default();
         let tolerance = 1e-4;
         let mut t = DynamicTransition::new(DynamicGraph::new(g).with_compact_threshold(None));
-        let mut exact = ScoreCache::new(cfg, MaintenanceMode::Exact);
-        let mut approx = ScoreCache::new(cfg, MaintenanceMode::Approximate { tolerance });
-        exact.warm(&t, &[11]);
-        approx.warm(&t, &[11]);
+        let mut exact = exact_on(&t, 11);
+        let mut approx = exact.clone();
 
         let delta = t.apply(&[Insert(11, 150), Insert(150, 11), Delete(11, 12)]);
-        exact.refresh(&t, &delta.clone());
-        let stats = approx.refresh(&t, &delta);
+        let exact_stats = refresh(&t, &delta, MaintenanceMode::Exact, &mut exact);
+        let stats = refresh(&t, &delta, MaintenanceMode::Approximate { tolerance }, &mut approx);
 
         let fresh = rebuild_scores(t.graph(), 11, &cfg);
-        let err = l1(&approx.scores(11).unwrap(), &fresh);
+        let err = l1(&approx, &fresh);
         let bound = 2.0 * tolerance / cfg.c;
         assert!(err <= bound, "approximate error {err} above bound {bound}");
         // The approximate path must do no more work than the exact one.
-        let exact_fresh_err = l1(&exact.scores(11).unwrap(), &fresh);
+        assert!(stats.iterations <= exact_stats.iterations);
+        let exact_fresh_err = l1(&exact, &fresh);
         assert!(exact_fresh_err <= err || err < 1e-9);
         assert!(stats.offset_mass > 0.0);
     }
 
     #[test]
     fn standalone_propagate_offset_maintains_a_single_vector() {
-        // The scalar entry point (no ScoreCache) must track a rebuild
-        // just like the blocked refresh path does.
+        // The dense-only sweep (no frontier routing) must track a rebuild
+        // just like the Auto refresh path does.
         let g = test_graph();
         let cfg = CpiConfig::default();
         let mut t = DynamicTransition::new(DynamicGraph::new(g).with_compact_threshold(None));
-        let mut manual = cpi(&t, &SeedSet::single(3), &cfg, 0, None).scores;
+        let mut manual = exact_on(&t, 3);
 
-        let candidates = [Insert(3, 99), Insert(99, 3), Delete(3, 4)];
-        let applicable: Vec<EdgeUpdate> = candidates
-            .iter()
-            .copied()
-            .filter(|u| match *u {
-                Insert(a, b) => !t.graph().has_edge(a, b),
-                Delete(a, b) => t.graph().has_edge(a, b),
-            })
-            .collect();
-        assert!(!applicable.is_empty());
-        let delta = t.apply(&applicable);
-        let b = t.offset_seed(&delta, cfg.c, &manual);
-        let stats = propagate_offset(&t, b, &cfg, MaintenanceMode::Exact, &mut manual);
+        let updates = applicable(&t, &[Insert(3, 99), Insert(99, 3), Delete(3, 4)]);
+        assert!(!updates.is_empty());
+        let delta = t.apply(&updates);
+        let b = t.offset_seed_for(&delta.sources, cfg.c, &manual);
+        let stats = propagate_offset_policy(
+            &t.publish_patched(),
+            b,
+            &cfg,
+            MaintenanceMode::Exact,
+            FrontierPolicy::Dense,
+            &mut manual,
+        );
         assert!(stats.iterations > 0);
         assert_eq!(stats.dropped_mass, 0.0);
 
@@ -1039,14 +789,16 @@ mod tests {
         };
         let cfg = CpiConfig::default();
         let mut t = DynamicTransition::new(DynamicGraph::new(g).with_compact_threshold(None));
-        let base = cpi(&t, &SeedSet::single(17), &cfg, 0, None).scores;
+        let base = exact_on(&t, 17);
         let delta = t.apply(&[Insert(17, 4100), Insert(4100, 17), Delete(17, 4099)]);
-        let b = t.offset_seed(&delta, cfg.c, &base);
+        let b = t.offset_seed_for(&delta.sources, cfg.c, &base);
+        let view = t.publish_patched();
 
         for mode in [MaintenanceMode::Exact, MaintenanceMode::Approximate { tolerance: 1e-4 }] {
             let run = |policy: FrontierPolicy| {
                 let mut scores = base.clone();
-                let stats = propagate_offset_policy(&t, b.clone(), &cfg, mode, policy, &mut scores);
+                let stats =
+                    propagate_offset_policy(&view, b.clone(), &cfg, mode, policy, &mut scores);
                 (scores, stats)
             };
             let (dense, dense_stats) = run(FrontierPolicy::Dense);
@@ -1062,10 +814,6 @@ mod tests {
                     );
                 }
             }
-            // The legacy entry point is the Dense policy.
-            let mut legacy = base.clone();
-            propagate_offset(&t, b.clone(), &cfg, mode, &mut legacy);
-            assert!(legacy.iter().zip(&dense).all(|(a, d)| a.to_bits() == d.to_bits()));
         }
     }
 
@@ -1073,13 +821,13 @@ mod tests {
     fn noop_batch_produces_zero_offset() {
         let g = test_graph();
         let mut t = DynamicTransition::new(DynamicGraph::new(g));
-        let old = exact_rwr_on(&t, 5);
+        let old = exact_on(&t, 5);
         // Insert an edge that already exists: structural no-op.
         let existing = t.graph().out_neighbors(5).next().unwrap();
         let delta = t.apply(&[Insert(5, existing)]);
         assert_eq!(delta.stats.noops, 1);
         assert_eq!(delta.column_delta_mass, 0.0);
-        let b = t.offset_seed(&delta, 0.15, &old);
+        let b = t.offset_seed_for(&delta.sources, 0.15, &old);
         assert!(b.iter().all(|&v| v == 0.0));
     }
 
@@ -1089,18 +837,13 @@ mod tests {
         let g = test_graph();
         let cfg = CpiConfig::default();
         let mut t = DynamicTransition::new(DynamicGraph::new(g).with_compact_threshold(Some(1e-9)));
-        let mut cache = ScoreCache::new(cfg, MaintenanceMode::Exact);
-        cache.warm(&t, &[9]);
+        let mut lane = exact_on(&t, 9);
         let delta = t.apply(&[Insert(9, 100), Insert(100, 9)]);
         assert!(delta.stats.compacted);
         assert!(!t.graph().is_dirty());
-        cache.refresh(&t, &delta);
+        refresh(&t, &delta, MaintenanceMode::Exact, &mut lane);
         let fresh = rebuild_scores(t.graph(), 9, &cfg);
-        assert!(l1(&cache.scores(9).unwrap(), &fresh) < 1e-7);
-    }
-
-    fn exact_rwr_on(t: &DynamicTransition, seed: NodeId) -> Vec<f64> {
-        cpi(t, &SeedSet::single(seed), &CpiConfig::default(), 0, None).scores
+        assert!(l1(&lane, &fresh) < 1e-7);
     }
 
     #[test]
@@ -1123,25 +866,15 @@ mod tests {
         let g = test_graph();
         let cfg = CpiConfig::default();
         let mut t = DynamicTransition::new(DynamicGraph::new(g));
-        let mut cache = ScoreCache::new(cfg, MaintenanceMode::Exact);
-        cache.warm(&t, &[0]);
+        let mut lane = exact_on(&t, 0);
         for round in 0u32..5 {
             let u = (round * 17) % 200;
             let v = (round * 53 + 7) % 200;
-            let ups = [Insert(u, v), Insert(v, u)];
-            let applicable: Vec<EdgeUpdate> = ups
-                .iter()
-                .copied()
-                .filter(|up| match *up {
-                    Insert(a, b) => !t.graph().has_edge(a, b),
-                    Delete(a, b) => t.graph().has_edge(a, b),
-                })
-                .collect();
-            let delta = t.apply(&applicable);
-            cache.refresh(&t, &delta);
+            let delta = t.apply(&applicable(&t, &[Insert(u, v), Insert(v, u)]));
+            refresh(&t, &delta, MaintenanceMode::Exact, &mut lane);
         }
         let snap = t.graph().snapshot();
         let fresh = exact_rwr(&snap, 0, &cfg);
-        assert!(l1(&cache.scores(0).unwrap(), &fresh) < 1e-6);
+        assert!(l1(&lane, &fresh) < 1e-6);
     }
 }

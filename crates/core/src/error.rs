@@ -8,10 +8,10 @@
 //! error can be matched on, logged, and mapped to a transport status.
 //!
 //! [`TpaError`] is that type. Request admission ([`crate::Snapshot::run`],
-//! [`crate::RwrService::submit`], [`crate::QueryEngine::execute`]) and
-//! the mutation paths ([`crate::RwrService::apply_updates`],
-//! [`crate::QueryEngine::apply_updates`]) return it; the legacy
-//! infallible conveniences (`QueryEngine::query`, …) panic with its
+//! [`crate::RwrService::submit`]) and the mutation paths
+//! ([`crate::RwrService::apply_updates`], [`crate::RwrService::patch_index`],
+//! …) return it; the infallible index conveniences
+//! ([`crate::TpaIndex::query_batch_on`], …) panic with its
 //! [`std::fmt::Display`] rendering, so every failure reads the same no
 //! matter which entry point raised it.
 

@@ -37,7 +37,7 @@
 //! bails to the dense kernel before paying it.
 
 use crate::gather::InAdjacency;
-use tpa_graph::{CsrGraph, DynamicGraph, NodeId};
+use tpa_graph::{CsrGraph, NodeId};
 
 /// How CPI schedules its per-iteration propagation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -210,7 +210,7 @@ impl SupportUnion {
 
 /// Out-adjacency access for frontier discovery, mirroring
 /// [`InAdjacency`] on the gather side: implemented by [`CsrGraph`]
-/// (plain CSR rows) and [`DynamicGraph`] (merged overlay view) so all
+/// (plain CSR rows) and by the patched view's merged out-rows, so all
 /// backends share one discovery pass.
 pub(crate) trait OutAdjacency {
     /// Out-degree of `u` (the discovery-cost predictor).
@@ -227,19 +227,6 @@ impl OutAdjacency for CsrGraph {
     #[inline]
     fn for_each_out<F: FnMut(NodeId)>(&self, u: NodeId, mut f: F) {
         for &v in self.out_neighbors(u) {
-            f(v);
-        }
-    }
-}
-
-impl OutAdjacency for DynamicGraph {
-    #[inline]
-    fn out_deg(&self, u: NodeId) -> usize {
-        self.out_degree(u)
-    }
-    #[inline]
-    fn for_each_out<F: FnMut(NodeId)>(&self, u: NodeId, mut f: F) {
-        for v in self.out_neighbors(u) {
             f(v);
         }
     }
@@ -349,9 +336,9 @@ pub(crate) fn fold_reachable(
     residual
 }
 
-/// The sequential sparse-frontier step shared by [`crate::Transition`]
-/// and the single-range dynamic backend. Returns `None` — leaving `y`
-/// untouched — when the reachable set's gather cost busts
+/// The sequential sparse-frontier step of [`crate::Transition`] (the
+/// ranged backends go through [`sparse_step_ranged`]). Returns `None` —
+/// leaving `y` untouched — when the reachable set's gather cost busts
 /// [`GATHER_BAIL_DIVISOR`]; the caller then runs its dense kernel.
 ///
 /// Contract (same for every implementor of

@@ -7,8 +7,8 @@
 //! sequential; the reads of `x` are the random part, so locality comes
 //! from the node ordering (`tpa_graph::reorder`), not from the kernel.
 //!
-//! [`crate::Transition`], [`crate::ParallelTransition`], the dynamic
-//! overlay and its published [`crate::PatchedTransition`] all run this
+//! [`crate::Transition`], [`crate::ParallelTransition`] and the
+//! dynamic overlay's published [`crate::PatchedTransition`] all run this
 //! one chain through [`propagate`], [`propagate_norm`] and
 //! [`propagate_block`]. They differ only in the row view they pass
 //! ([`InAdjacency`]) and their destination ranges, which is what keeps
@@ -66,7 +66,7 @@ fn ranges_block_aligned(ranges: &[(u32, u32)]) -> bool {
 
 /// A destination-row source for the gather kernels: node `v`'s
 /// in-neighbors as one ascending slice. Implemented by [`CsrGraph`]
-/// (plain CSC rows) and by the dynamic backend's merged-row view, so all
+/// (plain CSC rows) and by the patched view's merged rows, so all
 /// backends share the same monomorphized kernels.
 pub(crate) trait InAdjacency {
     /// In-neighbor row of destination `v`, ascending.
@@ -300,7 +300,8 @@ where
 /// in-edge count via the CSC offset array (power-law graphs concentrate
 /// edges on few destinations, so node-count splits starve most workers).
 /// Every range is non-empty; an edgeless graph falls back to node-count
-/// balancing. Shared by the parallel and dynamic backends.
+/// balancing. Shared by the parallel backend and the dynamic overlay
+/// (whose published views inherit its ranges).
 ///
 /// Whenever the graph has at least one [`NORM_BLOCK`] per worker, range
 /// boundaries are snapped to block multiples so the fused residual fold

@@ -18,22 +18,21 @@
 //! * [`bounds`] — Lemmas 1–3 and Theorem 2 in closed form.
 //! * [`decompose`] — exact part-wise decomposition used by the accuracy
 //!   experiments (Table III, Fig. 9).
-//! * [`RwrService`] / [`ServiceBuilder`] — the concurrent serving
-//!   layer: an immutable [`Snapshot`] (backend + index + configuration)
+//! * [`RwrService`] / [`ServiceBuilder`] — the one serving and update
+//!   path: an immutable [`Snapshot`] (backend + index + configuration)
 //!   published behind an epoch-swapped `Arc`, any number of `&self`
 //!   reader threads racing a single writer that applies
 //!   [`tpa_graph::EdgeUpdate`] batches; typed [`QueryRequest`] /
-//!   [`QueryResponse`] and a real [`TpaError`].
-//! * [`QueryEngine`] — the single-owner shim over a [`Snapshot`]:
-//!   executes single / batched / top-k requests over any
-//!   [`Propagator`] backend (sequential, [`ParallelTransition`],
-//!   out-of-core [`offcore::DiskGraph`], dynamic delta-overlay
-//!   [`DynamicTransition`]), with results bit-identical across backends
-//!   and bit-identical to the concurrent service.
-//! * [`dynamic`] — the streaming workload: [`DynamicTransition`] over a
-//!   mutable overlay graph, OSP-style incremental maintenance of cached
-//!   scores ([`ScoreCache`]), and index staleness tracking
-//!   ([`IndexStalenessPolicy`]).
+//!   [`QueryResponse`] and a real [`TpaError`]. Single, batched and
+//!   top-k requests run over any [`EngineBackend`] (sequential,
+//!   [`ParallelTransition`], out-of-core [`offcore::DiskGraph`], or a
+//!   copy-on-write [`PatchedTransition`] of a dynamic graph), with
+//!   results bit-identical across backends.
+//! * [`dynamic`] — the streaming workload: the writer-side
+//!   [`DynamicTransition`] overlay that publishes patched views and
+//!   builds OSP offset seeds, which keep the service's hot-seed score
+//!   cache ([`ServiceBuilder::score_cache`]) and the index's stranger
+//!   vector current, under an [`IndexStalenessPolicy`].
 //! * [`metrics`] / [`profiling`] — service-wide observability:
 //!   [`ServiceMetrics`] records request latency, cache hits, errors,
 //!   and epoch/compaction lifecycle events into a shared
@@ -76,7 +75,6 @@ pub mod bounds;
 mod cpi;
 mod decompose;
 pub mod dynamic;
-pub mod engine;
 mod error;
 pub mod frontier;
 mod gather;
@@ -101,11 +99,8 @@ pub use admission::{
 pub use cpi::{cpi, cpi_policy, cpi_trace, cpi_trace_policy, CpiConfig, CpiResult};
 pub use decompose::{decompose, Decomposition};
 pub use dynamic::{
-    propagate_offset, propagate_offset_policy, DynamicTransition, MaintenanceMode, RefreshStats,
-    ScoreCache, SourceDelta, UpdateDelta,
-};
-pub use engine::{
-    top_k_scored, EngineBackend, IndexStalenessPolicy, QueryEngine, QueryPlan, UpdateReport,
+    propagate_offset_policy, DynamicTransition, MaintenanceMode, RefreshStats, SourceDelta,
+    UpdateDelta,
 };
 pub use error::TpaError;
 pub use frontier::{FrontierPolicy, FrontierScratch, FrontierStep, FrontierWork};
@@ -119,8 +114,9 @@ pub use patch::PatchedTransition;
 pub use profiling::{kernel_profile, reset_profiling, set_profiling_enabled, KernelProfile};
 pub use seeds::SeedSet;
 pub use service::{
-    ExecMode, QueryRequest, QueryResponse, QueryResult, RwrService, ServiceBuilder, Snapshot,
-    SnapshotCache, UpdateOutcome,
+    top_k_scored, EngineBackend, ExecMode, IndexStalenessPolicy, QueryRequest, QueryResponse,
+    QueryResult, RwrService, ServiceBuilder, Snapshot, SnapshotCache, UpdateOutcome, UpdateReport,
+    DEFAULT_LANE_TILE,
 };
 pub use topk::TopKGuarantee;
 pub use tpa::{PreprocessStats, TpaIndex, TpaParams, TpaParts};

@@ -41,8 +41,8 @@ impl<'g> ParallelTransition<'g> {
         Self::from_handle(GraphHandle::Borrowed(graph), threads)
     }
 
-    /// Binds the operator to a shared-ownership graph (used by reordered
-    /// engines, which own the permuted graph they serve).
+    /// Binds the operator to a shared-ownership graph (used by services,
+    /// which own the — possibly permuted — graph they serve).
     pub fn shared(graph: Arc<CsrGraph>, threads: usize) -> ParallelTransition<'static> {
         ParallelTransition::from_handle(GraphHandle::Shared(graph), threads)
     }

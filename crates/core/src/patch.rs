@@ -17,11 +17,10 @@
 //!   the only `O(n)` terms left in a publish, with no edge traversal),
 //!
 //! frozen at one epoch. It implements [`Propagator`] with the same
-//! shared gather kernels over the same [`OverlayRows`](crate::dynamic)
-//! view as the live overlay, so its
-//! scores — residuals included — are **bitwise identical** to the
-//! writer's overlay and, by the `dynamic_equiv` property suite, to a
-//! CSR rebuilt from scratch. Readers at epoch `e+1` therefore see
+//! shared gather kernels as the static backends, over the overlay's
+//! [`OverlayRows`](crate::dynamic) view, so its scores — residuals
+//! included — are, by the `dynamic_equiv` property suite, **bitwise
+//! identical** to a CSR rebuilt from scratch. Readers at epoch `e+1` therefore see
 //! exactly the view a full rebuild would have published, at a publish
 //! cost that scales with the accumulated overlay delta instead of the
 //! graph; folding the delta back into a fresh base is demoted to a
@@ -156,9 +155,10 @@ impl Propagator for PatchedTransition {
         self.base.n()
     }
 
-    /// The overlay gather ([`crate::DynamicTransition`]) over the frozen
-    /// patch state: identical rows, identical accumulation order,
-    /// bitwise-identical scores.
+    /// The flat gather over the frozen patch rows: dirty destinations
+    /// read their materialized merged row, everyone else the base CSC
+    /// slice — the accumulation order of a rebuilt CSR, so the scores
+    /// are bitwise identical to it.
     fn propagate_into(&self, coeff: f64, x: &[f64], y: &mut [f64]) {
         gather::propagate(&self.rows(), &self.inv_out_deg, &self.ranges, coeff, x, y);
     }
@@ -215,7 +215,9 @@ impl Propagator for PatchedTransition {
 
 #[cfg(test)]
 mod tests {
-    use crate::{cpi, cpi_policy, CpiConfig, DynamicTransition, FrontierPolicy, SeedSet};
+    use crate::{
+        cpi, cpi_policy, CpiConfig, DynamicTransition, FrontierPolicy, SeedSet, Transition,
+    };
     use tpa_graph::gen::{lfr_lite, LfrConfig};
     use tpa_graph::{DynamicGraph, EdgeUpdate};
 
@@ -236,14 +238,18 @@ mod tests {
 
     #[test]
     fn patched_view_matches_overlay_bitwise() {
+        // The published view answers exactly like a CSR rebuilt from the
+        // overlay's merged graph: scores, stopping step and residual.
         let t = overlay();
         let p = t.publish_patched();
         assert_eq!(p.n(), t.n());
         assert_eq!(p.m(), t.graph().m());
         assert!(p.delta_edges() > 0);
+        let rebuilt = t.graph().snapshot();
+        let reference = Transition::new(&rebuilt);
         let cfg = CpiConfig::default();
         for seed in [3u32, 120, 399] {
-            let live = cpi(&t, &SeedSet::single(seed), &cfg, 0, None);
+            let live = cpi(&reference, &SeedSet::single(seed), &cfg, 0, None);
             let snap = cpi(&p, &SeedSet::single(seed), &cfg, 0, None);
             assert_eq!(live.last_iteration, snap.last_iteration);
             assert_eq!(live.final_residual.to_bits(), snap.final_residual.to_bits());

@@ -12,9 +12,8 @@
 //! run** from locally accumulated values — never inside the iteration
 //! loop. While profiling is disabled (the default) the entire cost on a
 //! kernel run is one relaxed `AtomicBool` load and a predictable
-//! branch; attaching metrics to a service or engine
-//! ([`crate::ServiceBuilder::metrics`],
-//! [`crate::QueryEngine::with_metrics`]) enables it.
+//! branch; attaching metrics to a service
+//! ([`crate::ServiceBuilder::metrics`]) enables it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -42,7 +41,7 @@ pub fn profiling_enabled() -> bool {
 }
 
 /// Turns kernel profiling on or off (process-wide). Enabled
-/// automatically when a service or engine attaches a metrics registry.
+/// automatically when a service attaches a metrics registry.
 pub fn set_profiling_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed); // ord: advisory enable flag; no data is published under it
 }

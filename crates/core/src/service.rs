@@ -1,15 +1,11 @@
-//! The concurrent serving layer: [`RwrService`] over epoch-swapped
-//! [`Snapshot`]s.
+//! The serving layer: [`RwrService`] over epoch-swapped [`Snapshot`]s.
 //!
-//! [`crate::QueryEngine`] is a *single-owner* server: it borrows its
-//! graph, needs `&mut self` to apply updates, and therefore forces any
-//! concurrent deployment to wrap it in external locking that serializes
-//! every reader behind the writer. TPA's whole point is cheap online
-//! queries over a preprocessed index (Yoon et al., ICDE 2018), and the
-//! dynamic-RWR line (Yoon et al., *"Fast and Accurate Random Walk with
-//! Restart on Dynamic Graphs with Guarantees"*) assumes queries and
-//! updates interleave continuously — so the serving surface has to let
-//! them.
+//! TPA's whole point is cheap online queries over a preprocessed index
+//! (Yoon et al., ICDE 2018), and the dynamic-RWR line (Yoon et al.,
+//! *"Fast and Accurate Random Walk with Restart on Dynamic Graphs with
+//! Guarantees"*) assumes queries and updates interleave continuously —
+//! so the serving surface lets them, without readers ever waiting on
+//! the writer.
 //!
 //! The design here is the classic epoch swap:
 //!
@@ -31,8 +27,8 @@
 //!   next epoch by swapping the `Arc`. In-flight queries keep reading
 //!   the epoch they pinned; the next `submit` sees the new one. Every
 //!   epoch is **bitwise consistent**: a query on epoch `e` returns
-//!   exactly what a single-threaded [`crate::QueryEngine`] would return
-//!   on the equivalent frozen graph — never a blend of two epochs.
+//!   exactly what the TPA online phase returns on a CSR rebuilt from
+//!   that epoch's graph — never a blend of two epochs.
 //! * Publishing is **copy-on-write**, not a rebuild: the new epoch's
 //!   backend is a [`crate::PatchedTransition`] — the immutable base CSR
 //!   shared via `Arc` plus the merged-overlay delta (per-row `Arc`s
@@ -54,7 +50,7 @@
 //! Requests and responses are typed ([`QueryRequest`] /
 //! [`QueryResponse`]), failures are a real error type
 //! ([`crate::TpaError`]), and construction goes through one
-//! [`ServiceBuilder`] instead of the engine's scattered `with_*` calls.
+//! [`ServiceBuilder`].
 //!
 //! ```
 //! use std::sync::Arc;
@@ -82,11 +78,14 @@ use crate::admission::{
 };
 use crate::batch::cpi_batch_guarded;
 use crate::cpi::cpi_guarded_policy;
-use crate::dynamic::{propagate_offset_policy, DynamicTransition, MaintenanceMode, SourceDelta};
-use crate::engine::{top_k_scored, EngineBackend, IndexStalenessPolicy, UpdateReport};
+use crate::dynamic::{
+    propagate_offset_policy, DynamicTransition, MaintenanceMode, SourceDelta, UpdateDelta,
+};
 use crate::error::check_seeds;
+use crate::frontier::{FrontierScratch, FrontierStep, FrontierWork};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::offcore::DiskGraph;
+use crate::patch::PatchedTransition;
 use crate::{
     cpi_policy, CpiConfig, FrontierPolicy, ParallelTransition, Propagator, SeedSet, TpaError,
     TpaIndex, TpaParams, Transition,
@@ -99,6 +98,203 @@ use tpa_graph::{
     reorder, CsrGraph, DynamicGraph, EdgeUpdate, NodeId, Permutation, ReorderStrategy,
 };
 use tpa_obs::MetricsRegistry;
+
+/// The propagation backend a [`Snapshot`] serves from: sequential
+/// in-memory, multi-threaded in-memory, streaming from disk, or a
+/// frozen copy-on-write patch view of a dynamic graph.
+pub enum EngineBackend<'g> {
+    /// Single-threaded in-memory gather ([`Transition`]).
+    Sequential(Transition<'g>),
+    /// Multi-threaded in-memory gather ([`ParallelTransition`]).
+    Parallel(ParallelTransition<'g>),
+    /// Out-of-core edge streaming ([`DiskGraph`]), `O(n)` memory.
+    OutOfCore(DiskGraph),
+    /// Immutable copy-on-write patch snapshot ([`PatchedTransition`]):
+    /// a base CSR shared by `Arc` plus the merged overlay delta, frozen
+    /// at one epoch. This is what [`RwrService`] publishes for dynamic
+    /// sources — assembling one costs `O(batch)`, not the `O(n + m)` of
+    /// a full CSR rebuild.
+    Patched(PatchedTransition),
+}
+
+impl std::fmt::Debug for EngineBackend<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "EngineBackend({})", self.name())
+    }
+}
+
+impl EngineBackend<'_> {
+    /// Short human-readable backend name (for logs and bench tables).
+    pub fn name(&self) -> &'static str {
+        match self {
+            EngineBackend::Sequential(_) => "sequential",
+            EngineBackend::Parallel(_) => "parallel",
+            EngineBackend::OutOfCore(_) => "out-of-core",
+            EngineBackend::Patched(_) => "patched",
+        }
+    }
+}
+
+impl Propagator for EngineBackend<'_> {
+    fn n(&self) -> usize {
+        match self {
+            EngineBackend::Sequential(t) => Propagator::n(t),
+            EngineBackend::Parallel(t) => t.n(),
+            EngineBackend::OutOfCore(d) => Propagator::n(d),
+            EngineBackend::Patched(t) => Propagator::n(t),
+        }
+    }
+
+    fn propagate_into(&self, coeff: f64, x: &[f64], y: &mut [f64]) {
+        match self {
+            EngineBackend::Sequential(t) => Propagator::propagate_into(t, coeff, x, y),
+            EngineBackend::Parallel(t) => t.propagate_into(coeff, x, y),
+            EngineBackend::OutOfCore(d) => Propagator::propagate_into(d, coeff, x, y),
+            EngineBackend::Patched(t) => Propagator::propagate_into(t, coeff, x, y),
+        }
+    }
+
+    fn propagate_block_into(
+        &self,
+        coeff: f64,
+        x: &crate::batch::ScoreBlock,
+        y: &mut crate::batch::ScoreBlock,
+    ) {
+        match self {
+            EngineBackend::Sequential(t) => t.propagate_block_into(coeff, x, y),
+            EngineBackend::Parallel(t) => t.propagate_block_into(coeff, x, y),
+            EngineBackend::OutOfCore(d) => Propagator::propagate_block_into(d, coeff, x, y),
+            EngineBackend::Patched(t) => Propagator::propagate_block_into(t, coeff, x, y),
+        }
+    }
+
+    // The frontier entry points forward to the wrapped backend so its
+    // native kernels (not the trait defaults) serve requests.
+
+    fn propagate_into_norm(&self, coeff: f64, x: &[f64], y: &mut [f64]) -> f64 {
+        match self {
+            EngineBackend::Sequential(t) => Propagator::propagate_into_norm(t, coeff, x, y),
+            EngineBackend::Parallel(t) => t.propagate_into_norm(coeff, x, y),
+            EngineBackend::OutOfCore(d) => Propagator::propagate_into_norm(d, coeff, x, y),
+            EngineBackend::Patched(t) => Propagator::propagate_into_norm(t, coeff, x, y),
+        }
+    }
+
+    fn frontier_work(&self, active: &[NodeId]) -> Option<FrontierWork> {
+        match self {
+            EngineBackend::Sequential(t) => Propagator::frontier_work(t, active),
+            EngineBackend::Parallel(t) => t.frontier_work(active),
+            EngineBackend::OutOfCore(d) => Propagator::frontier_work(d, active),
+            EngineBackend::Patched(t) => Propagator::frontier_work(t, active),
+        }
+    }
+
+    fn propagate_frontier(
+        &self,
+        coeff: f64,
+        x: &[f64],
+        y: &mut [f64],
+        active: &[NodeId],
+        scratch: &mut FrontierScratch,
+    ) -> FrontierStep {
+        match self {
+            EngineBackend::Sequential(t) => {
+                Propagator::propagate_frontier(t, coeff, x, y, active, scratch)
+            }
+            EngineBackend::Parallel(t) => t.propagate_frontier(coeff, x, y, active, scratch),
+            EngineBackend::OutOfCore(d) => {
+                Propagator::propagate_frontier(d, coeff, x, y, active, scratch)
+            }
+            EngineBackend::Patched(t) => {
+                Propagator::propagate_frontier(t, coeff, x, y, active, scratch)
+            }
+        }
+    }
+}
+
+/// When is the served [`TpaIndex`] too stale to keep serving?
+///
+/// The writer accumulates the relative operator drift
+/// `Σ ‖ΔÃ[:,u]‖₁ / n` across update batches (a proxy for the L1 error
+/// the drift induces in the index's stranger vector — amplified by at
+/// most `(1−c)/c` through the CPI tail). Past `threshold` the index is
+/// *stale*: with `auto_refresh` the writer re-preprocesses before
+/// publishing (inside [`RwrService::apply_updates`]); otherwise it keeps
+/// serving and flags the caller, who decides when to run
+/// [`RwrService::refresh_index`] or [`RwrService::patch_index`].
+#[derive(Clone, Copy, Debug)]
+pub struct IndexStalenessPolicy {
+    /// Accumulated relative drift that marks the index stale.
+    pub threshold: f64,
+    /// Re-preprocess inside `apply_updates` when stale (vs. only flag).
+    pub auto_refresh: bool,
+}
+
+impl Default for IndexStalenessPolicy {
+    /// Flag-only, at 5% accumulated relative operator drift.
+    fn default() -> Self {
+        Self { threshold: 0.05, auto_refresh: false }
+    }
+}
+
+impl IndexStalenessPolicy {
+    /// Validates the policy for admission paths: the threshold must be a
+    /// positive (possibly infinite, never NaN) drift bound.
+    pub fn check(&self) -> Result<(), TpaError> {
+        // NaN must fail too, so test "positive" directly.
+        if self.threshold.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+            return Err(TpaError::InvalidConfig(format!(
+                "staleness threshold must be positive, got {}",
+                self.threshold
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// The structural delta and index-staleness accounting of one
+/// [`RwrService::apply_updates`] batch.
+#[derive(Clone, Debug)]
+pub struct UpdateReport {
+    /// The captured delta. The service has already folded it into its
+    /// score-cache lanes and the index drift accounting.
+    pub delta: UpdateDelta,
+    /// Accumulated relative operator drift since the index was last
+    /// (re)built. 0.0 when no index is attached.
+    pub accumulated_drift: f64,
+    /// True if the attached index is past the staleness threshold (and
+    /// was not auto-refreshed).
+    pub index_stale: bool,
+    /// True if this call re-preprocessed the attached index.
+    pub index_refreshed: bool,
+}
+
+/// Default lane-tile width for batched requests (see
+/// [`ServiceBuilder::lane_tile`]): wide enough to amortize the edge
+/// pass, narrow enough that the three working blocks
+/// (`x`/`next`/`acc` ≈ `3·n·tile·8` bytes) stay resident in a ~2 MB
+/// private L2 for the bench-scale graphs.
+pub const DEFAULT_LANE_TILE: usize = 8;
+
+/// The `k` best `(node, score)` pairs, best first, ties broken by lower
+/// node id. Partial selection (`select_nth_unstable_by`) followed by a
+/// sort of only the selected prefix: `O(n + k log k)` instead of the
+/// `O(n log n)` full sort.
+pub fn top_k_scored(scores: &[f64], k: usize) -> Vec<(NodeId, f64)> {
+    let k = k.min(scores.len());
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut idx: Vec<u32> = (0..scores.len() as u32).collect();
+    // `total_cmp`, not `partial_cmp().expect(…)`: RWR scores are finite
+    // and non-negative, so the two orders agree — and the total order
+    // keeps this path panic-free by construction.
+    let cmp = |a: &u32, b: &u32| scores[*b as usize].total_cmp(&scores[*a as usize]).then(a.cmp(b));
+    idx.select_nth_unstable_by(k - 1, cmp);
+    idx.truncate(k);
+    idx.sort_unstable_by(cmp);
+    idx.into_iter().map(|v| (v, scores[v as usize])).collect()
+}
 
 /// How a request computes scores.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,8 +311,7 @@ pub enum ExecMode {
 /// then [`top_k`](QueryRequest::top_k), [`exact`](QueryRequest::exact),
 /// [`with_frontier`](QueryRequest::with_frontier) and
 /// [`with_epsilon`](QueryRequest::with_epsilon) overrides. Submitted to
-/// [`RwrService::submit`], [`Snapshot::run`], or (as the compatibility
-/// alias `QueryPlan`) [`crate::QueryEngine::execute`].
+/// [`RwrService::submit`] or [`Snapshot::run`].
 #[derive(Clone, Debug)]
 pub struct QueryRequest {
     seeds: Vec<NodeId>,
@@ -351,8 +546,8 @@ pub struct QueryResponse {
     pub degradation: DegradationLevel,
 }
 
-/// Hot-seed score lanes folded into a published [`Snapshot`]: the
-/// service-side successor of the single-owner [`crate::ScoreCache`].
+/// Hot-seed score lanes folded into a published [`Snapshot`] (pinned
+/// with [`ServiceBuilder::score_cache`]).
 ///
 /// Lanes hold exact-CPI score vectors in backend (relabeled) space, one
 /// per pinned seed. At every [`RwrService::apply_updates`] publish the
@@ -410,7 +605,6 @@ impl SnapshotCache {
 /// All query entry points take `&self`; `Snapshot<'static>` (the owned
 /// form [`RwrService`] publishes) is `Send + Sync`, so any number of
 /// threads can run [`Snapshot::run`] concurrently on one snapshot.
-/// [`crate::QueryEngine`] is a thin shim over a single-owner `Snapshot`.
 pub struct Snapshot<'g> {
     pub(crate) backend: EngineBackend<'g>,
     pub(crate) index: Option<Arc<TpaIndex>>,
@@ -443,31 +637,13 @@ pub struct Snapshot<'g> {
 }
 
 impl<'g> Snapshot<'g> {
-    /// Snapshot over an explicit backend with default configuration and
-    /// epoch 0.
-    pub(crate) fn new(backend: EngineBackend<'g>) -> Self {
-        Snapshot {
-            backend,
-            index: None,
-            exact_cfg: CpiConfig::default(),
-            lane_tile: crate::engine::DEFAULT_LANE_TILE,
-            frontier: FrontierPolicy::Auto,
-            perm: None,
-            cache: None,
-            metrics: None,
-            epoch: 0,
-            fault: None,
-            topk_caps: std::sync::OnceLock::new(),
-        }
-    }
-
     /// Number of nodes served.
     pub fn n(&self) -> usize {
         self.backend.n()
     }
 
     /// The epoch this snapshot was published at (0 for the initial
-    /// build and for single-owner engines).
+    /// build).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -913,14 +1089,14 @@ impl std::fmt::Debug for Snapshot<'_> {
     }
 }
 
-/// The gate-side half of an admitted submission, shared by
-/// [`RwrService::submit`] and the engine shim: validate limits, start
+/// The gate-side half of an admitted [`RwrService::submit`]: validate
+/// limits, start
 /// the deadline clock (queue wait counts), sample the shed ladder —
 /// [`DegradationLevel::Rejected`] fails *before* taking a slot — then
 /// acquire an execution permit. Gate-side failures are recorded into
 /// `metrics` here (they never reach [`Snapshot::run`], whose own error
 /// path records run failures).
-pub(crate) fn admit<'g>(
+fn admit<'g>(
     gate: &'g crate::admission::AdmissionGate,
     metrics: Option<&ServiceMetrics>,
     req: &QueryRequest,
@@ -947,12 +1123,8 @@ pub(crate) fn admit<'g>(
     Ok((permit, level, deadline_at))
 }
 
-/// Relabels caller-space updates into backend (new-id) space. Shared by
-/// the service writer and the engine shim.
-pub(crate) fn map_updates(
-    perm: &Option<Arc<Permutation>>,
-    updates: &[EdgeUpdate],
-) -> Option<Vec<EdgeUpdate>> {
+/// Relabels caller-space updates into backend (new-id) space.
+fn map_updates(perm: &Option<Arc<Permutation>>, updates: &[EdgeUpdate]) -> Option<Vec<EdgeUpdate>> {
     perm.as_ref().map(|p| {
         updates
             .iter()
@@ -968,8 +1140,7 @@ pub(crate) fn map_updates(
 /// published.
 #[derive(Clone, Debug)]
 pub struct UpdateOutcome {
-    /// The structural delta and index-staleness accounting (same shape
-    /// the single-owner engine reports).
+    /// The structural delta and index-staleness accounting.
     pub report: UpdateReport,
     /// The epoch the batch was published at; responses carrying this
     /// epoch (or later) see the updated graph.
@@ -1298,9 +1469,9 @@ impl RwrService {
     /// Applies an edge-update batch to the dynamic overlay and
     /// atomically publishes the next snapshot epoch. Queries already in
     /// flight finish on the epoch they pinned; later submissions see
-    /// the new graph. Tracks index staleness exactly like
-    /// [`crate::QueryEngine::apply_updates`] (auto-refresh
-    /// re-preprocesses before publishing).
+    /// the new graph. Tracks index staleness under the builder's
+    /// [`IndexStalenessPolicy`] (auto-refresh re-preprocesses before
+    /// publishing).
     ///
     /// The publish is copy-on-write: the new epoch's backend is a
     /// [`crate::PatchedTransition`] sharing the base CSR and the
@@ -1628,7 +1799,7 @@ fn refresh_cache(
 /// The graph a [`ServiceBuilder`] starts from.
 enum GraphSource {
     /// Immutable in-memory CSR (updates refused).
-    InMemory(CsrGraph),
+    InMemory(Arc<CsrGraph>),
     /// Mutable delta-overlay graph (updates publish new epochs).
     Dynamic(DynamicGraph),
     /// Immutable disk-resident graph, `O(n)` memory (updates refused).
@@ -1642,13 +1813,12 @@ enum IndexSpec {
     /// Run TPA preprocessing on the built backend.
     Preprocess(TpaParams),
     /// Attach an existing (e.g. loaded) index.
-    Attach(TpaIndex),
+    Attach(Arc<TpaIndex>),
 }
 
-/// One place for every serving knob that used to be a scattered
-/// `QueryEngine::with_*` call: graph source, worker threads, frontier
-/// policy, lane tile, CPI config, reordering, index, and
-/// staleness policy. `build()` validates the combination and returns a
+/// One place for every serving knob: graph source, worker threads,
+/// frontier policy, lane tile, CPI config, reordering, index, score
+/// cache, and staleness policy. `build()` validates the combination and returns a
 /// ready [`RwrService`] — or a [`TpaError`] explaining what's wrong,
 /// instead of a panic halfway through construction.
 pub struct ServiceBuilder {
@@ -1678,7 +1848,7 @@ impl ServiceBuilder {
             source,
             threads: 1,
             frontier: FrontierPolicy::Auto,
-            lane_tile: crate::engine::DEFAULT_LANE_TILE,
+            lane_tile: DEFAULT_LANE_TILE,
             exact_cfg: CpiConfig::default(),
             reorder: None,
             index: IndexSpec::None,
@@ -1691,9 +1861,10 @@ impl ServiceBuilder {
     }
 
     /// Service over an immutable in-memory graph (updates refused with
-    /// [`TpaError::BackendMismatch`]).
-    pub fn in_memory(graph: CsrGraph) -> Self {
-        Self::from_source(GraphSource::InMemory(graph))
+    /// [`TpaError::BackendMismatch`]). Hand in an `Arc` to share the
+    /// graph with the caller instead of moving a copy in.
+    pub fn in_memory(graph: impl Into<Arc<CsrGraph>>) -> Self {
+        Self::from_source(GraphSource::InMemory(graph.into()))
     }
 
     /// Service over a mutable delta-overlay graph:
@@ -1724,8 +1895,11 @@ impl ServiceBuilder {
         self
     }
 
-    /// Lane-tile width for batched requests (see
-    /// [`crate::QueryEngine::with_lane_tile`]). Must be at least 1.
+    /// Lane-tile width for batched requests: batches wider than this
+    /// execute as consecutive tiles of at most `tile` lanes (default
+    /// [`DEFAULT_LANE_TILE`]). Per-lane results are unaffected — lanes
+    /// are independent — but one tile's score blocks should fit in
+    /// cache. `usize::MAX` disables tiling. Must be at least 1.
     pub fn lane_tile(mut self, tile: usize) -> Self {
         self.lane_tile = tile;
         self
@@ -1755,9 +1929,10 @@ impl ServiceBuilder {
 
     /// Attaches an existing index (e.g. loaded with
     /// [`TpaIndex::load`]). An index preprocessed on a reordered graph
-    /// carries its permutation; the built service adopts it.
-    pub fn index(mut self, index: TpaIndex) -> Self {
-        self.index = IndexSpec::Attach(index);
+    /// carries its permutation; the built service adopts it. An `Arc`
+    /// shares one index across services without copying it.
+    pub fn index(mut self, index: impl Into<Arc<TpaIndex>>) -> Self {
+        self.index = IndexSpec::Attach(index.into());
         self
     }
 
@@ -1854,7 +2029,7 @@ impl ServiceBuilder {
                             backend: "out-of-core",
                         });
                     }
-                    Some(Arc::new(idx))
+                    Some(idx)
                 }
             };
             let cache = build_cache(self.cache, &backend, &None, &self.exact_cfg, self.frontier)?;
@@ -1918,7 +2093,7 @@ impl ServiceBuilder {
                 }
                 let served = match &perm {
                     Some(p) => Arc::new(g.permuted(p)),
-                    None => Arc::new(g),
+                    None => g,
                 };
                 let backend = if sequential {
                     EngineBackend::Sequential(Transition::shared(served))
@@ -2112,7 +2287,7 @@ fn resolve_index(
         }
         IndexSpec::Attach(idx) => {
             idx.check_backend(backend)?;
-            Ok(Some(Arc::new(idx)))
+            Ok(Some(idx))
         }
     }
 }
@@ -2140,25 +2315,375 @@ mod tests {
 
     #[test]
     fn static_service_answers_like_the_engine() {
+        // The service's indexed answers are the TPA online phase over the
+        // same graph, bit for bit: single, batched and top-k.
         let g = test_graph();
         let params = TpaParams::new(5, 10);
-        let engine = crate::QueryEngine::sequential(&g).preprocess(params);
+        let index = TpaIndex::preprocess(&g, params);
+        let t = Transition::new(&g);
         let service = ServiceBuilder::in_memory(g.clone()).preprocess(params).build().unwrap();
         let resp = service.submit(&QueryRequest::single(13)).unwrap();
         assert_eq!(resp.backend, "sequential");
         assert_eq!(resp.epoch, 0);
         assert!(resp.indexed);
         assert!(resp.iterations.is_some());
-        assert_eq!(resp.result.into_scores().pop().unwrap(), engine.query(13));
+        assert_eq!(resp.result.into_scores().pop().unwrap(), index.query(&t, 13));
         // Batch and top-k paths too.
+        let want: Vec<_> =
+            [1, 5, 9].iter().map(|&s| top_k_scored(&index.query(&t, s), 4)).collect();
         assert_eq!(
             service
                 .submit(&QueryRequest::batch(vec![1, 5, 9]).top_k(4))
                 .unwrap()
                 .result
                 .into_ranked(),
-            engine.top_k_batch(&[1, 5, 9], 4)
+            want
         );
+    }
+
+    /// Full scores for one seed through `submit`.
+    fn scores(service: &RwrService, req: QueryRequest) -> Vec<f64> {
+        service.submit(&req).unwrap().result.into_scores().pop().unwrap()
+    }
+
+    fn batch(service: &RwrService, seeds: &[NodeId]) -> Vec<Vec<f64>> {
+        service.submit(&QueryRequest::batch(seeds.to_vec())).unwrap().result.into_scores()
+    }
+
+    #[test]
+    fn indexed_query_matches_direct_index_use() {
+        let g = test_graph();
+        let params = TpaParams::new(5, 10);
+        let index = Arc::new(TpaIndex::preprocess(&g, params));
+        let service =
+            ServiceBuilder::in_memory(g.clone()).index(Arc::clone(&index)).build().unwrap();
+        assert_eq!(service.query(13).unwrap(), index.query(&Transition::new(&g), 13));
+    }
+
+    #[test]
+    fn batch_bitwise_identical_to_singles_on_every_backend() {
+        let g = Arc::new(test_graph());
+        let index = Arc::new(TpaIndex::preprocess(&g, TpaParams::new(5, 10)));
+        let seeds: Vec<NodeId> = (0..32).map(|i| (i * 13) % g.n() as NodeId).collect();
+        let path =
+            std::env::temp_dir().join(format!("tpa-service-backends-{}", std::process::id()));
+        let disk = DiskGraph::create(&g, &path).unwrap();
+        let reference =
+            ServiceBuilder::in_memory(Arc::clone(&g)).index(Arc::clone(&index)).build().unwrap();
+        let singles: Vec<Vec<f64>> = seeds.iter().map(|&s| reference.query(s).unwrap()).collect();
+        let services = [
+            ServiceBuilder::in_memory(Arc::clone(&g)).index(Arc::clone(&index)),
+            ServiceBuilder::in_memory(Arc::clone(&g)).threads(4).index(Arc::clone(&index)),
+            ServiceBuilder::out_of_core(disk).index(Arc::clone(&index)),
+            ServiceBuilder::dynamic(DynamicGraph::new((*g).clone())).index(Arc::clone(&index)),
+        ];
+        for builder in services {
+            let service = builder.build().unwrap();
+            let name = service.snapshot().backend().name();
+            assert_eq!(batch(&service, &seeds), singles, "backend {name}");
+        }
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn exact_mode_ignores_index() {
+        let g = test_graph();
+        let service =
+            ServiceBuilder::in_memory(g.clone()).preprocess(TpaParams::new(4, 9)).build().unwrap();
+        let exact = scores(&service, QueryRequest::single(7).exact());
+        assert_eq!(exact, crate::exact_rwr(&g, 7, &CpiConfig::default()));
+        // The indexed answer is an approximation — close, but distinct.
+        assert_ne!(exact, service.query(7).unwrap());
+    }
+
+    #[test]
+    fn service_without_index_serves_exact_scores() {
+        let g = test_graph();
+        let service = ServiceBuilder::in_memory(g.clone()).build().unwrap();
+        assert_eq!(service.query(3).unwrap(), crate::exact_rwr(&g, 3, &CpiConfig::default()));
+    }
+
+    #[test]
+    fn submit_reports_metadata() {
+        let g = test_graph();
+        let service =
+            ServiceBuilder::in_memory(g).preprocess(TpaParams::new(5, 10)).build().unwrap();
+        let resp = service.submit(&QueryRequest::single(7)).unwrap();
+        assert_eq!(resp.backend, "sequential");
+        assert_eq!(resp.epoch, 0);
+        assert!(resp.indexed);
+        // The indexed family sweep runs S − 1 propagations.
+        assert_eq!(resp.iterations, Some(4));
+        assert!(resp.residual.unwrap() > 0.0);
+        let exact = service.submit(&QueryRequest::single(7).exact()).unwrap();
+        assert!(!exact.indexed);
+        assert!(exact.iterations.unwrap() > 4);
+    }
+
+    #[test]
+    fn top_k_matches_full_sort() {
+        let g = test_graph();
+        let service =
+            ServiceBuilder::in_memory(g).preprocess(TpaParams::new(5, 10)).build().unwrap();
+        let scores = service.query(42).unwrap();
+        let ranked = service.top_k(42, 10).unwrap();
+        // Reference: full sort.
+        let mut full: Vec<(NodeId, f64)> =
+            scores.iter().enumerate().map(|(i, &s)| (i as NodeId, s)).collect();
+        full.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        full.truncate(10);
+        assert_eq!(ranked, full);
+    }
+
+    #[test]
+    fn top_k_scored_handles_edge_cases() {
+        assert_eq!(top_k_scored(&[], 5), vec![]);
+        assert_eq!(top_k_scored(&[1.0, 2.0], 0), vec![]);
+        assert_eq!(top_k_scored(&[1.0, 2.0], 99), vec![(1, 2.0), (0, 1.0)]);
+        // Ties break toward the lower node id.
+        assert_eq!(top_k_scored(&[0.5, 0.5, 0.5], 2), vec![(0, 0.5), (1, 0.5)]);
+    }
+
+    #[test]
+    fn parallel_preprocess_matches_sequential() {
+        let g = Arc::new(test_graph());
+        let params = TpaParams::new(5, 10);
+        let seq = ServiceBuilder::in_memory(Arc::clone(&g)).preprocess(params).build().unwrap();
+        let par = ServiceBuilder::in_memory(g).threads(4).preprocess(params).build().unwrap();
+        assert_eq!(
+            seq.snapshot().index().unwrap().stranger(),
+            par.snapshot().index().unwrap().stranger()
+        );
+        assert_eq!(seq.query(99).unwrap(), par.query(99).unwrap());
+    }
+
+    #[test]
+    fn dynamic_backend_serves_all_plan_kinds() {
+        let g = test_graph();
+        let params = TpaParams::new(5, 10);
+        let reference = ServiceBuilder::in_memory(g.clone()).preprocess(params).build().unwrap();
+        let service = ServiceBuilder::dynamic(DynamicGraph::new(g.clone()))
+            .preprocess(params)
+            .build()
+            .unwrap();
+        // Before any update, every request kind matches the static
+        // service bitwise (same index parameters, same kernel order).
+        assert_eq!(service.query(13).unwrap(), reference.query(13).unwrap());
+        assert_eq!(batch(&service, &[1, 5, 9]), batch(&reference, &[1, 5, 9]));
+        assert_eq!(service.top_k(13, 5).unwrap(), reference.top_k(13, 5).unwrap());
+        let exact = scores(&service, QueryRequest::single(7).exact());
+        assert_eq!(exact, crate::exact_rwr(&g, 7, &CpiConfig::default()));
+        // After an update the next epoch answers on the evolved graph.
+        let outcome = service
+            .apply_updates(&[EdgeUpdate::Insert(13, 200), EdgeUpdate::Insert(200, 13)])
+            .unwrap();
+        assert_eq!(outcome.report.delta.stats.inserted, 2);
+        assert_eq!(service.epoch(), 1);
+        let evolved = scores(&service, QueryRequest::single(13).exact());
+        assert_ne!(evolved, crate::exact_rwr(&g, 13, &CpiConfig::default()));
+        let mut replay = DynamicGraph::new(g);
+        replay.apply(&[EdgeUpdate::Insert(13, 200), EdgeUpdate::Insert(200, 13)]);
+        assert_eq!(evolved, crate::exact_rwr(&replay.snapshot(), 13, &CpiConfig::default()));
+    }
+
+    #[test]
+    fn staleness_policy_flags_then_auto_refreshes() {
+        let g = test_graph();
+        let params = TpaParams::new(4, 9);
+        let tight = IndexStalenessPolicy { threshold: 1e-12, auto_refresh: false };
+        let service = ServiceBuilder::dynamic(DynamicGraph::new(g.clone()))
+            .preprocess(params)
+            .staleness(tight)
+            .build()
+            .unwrap();
+        let outcome = service.apply_updates(&[EdgeUpdate::Insert(0, 299)]).unwrap();
+        assert!(outcome.report.index_stale && !outcome.report.index_refreshed);
+        assert!(service.index_stale());
+        assert!(service.accumulated_drift() > 0.0);
+
+        // A manual refresh rebuilds the index on the evolved graph.
+        service.refresh_index().unwrap();
+        assert!(!service.index_stale());
+        assert_eq!(service.accumulated_drift(), 0.0);
+
+        // Auto-refresh does the same inside apply_updates, and the
+        // refreshed index serves like a fresh preprocess of that state.
+        let auto = ServiceBuilder::dynamic(DynamicGraph::new(g.clone()))
+            .preprocess(params)
+            .staleness(IndexStalenessPolicy { threshold: 1e-12, auto_refresh: true })
+            .build()
+            .unwrap();
+        let outcome = auto.apply_updates(&[EdgeUpdate::Insert(0, 299)]).unwrap();
+        assert!(outcome.report.index_refreshed && !outcome.report.index_stale);
+        assert_eq!(auto.accumulated_drift(), 0.0);
+        let mut replay = DynamicGraph::new(g);
+        replay.apply(&[EdgeUpdate::Insert(0, 299)]);
+        let fresh =
+            ServiceBuilder::in_memory(replay.snapshot()).preprocess(params).build().unwrap();
+        assert_eq!(auto.query(42).unwrap(), fresh.query(42).unwrap());
+    }
+
+    #[test]
+    fn patch_index_repairs_a_stale_index_incrementally() {
+        let g = test_graph();
+        let params = TpaParams::new(5, 10);
+        let service = ServiceBuilder::dynamic(DynamicGraph::new(g.clone()))
+            .preprocess(params)
+            .staleness(IndexStalenessPolicy { threshold: 1e-12, auto_refresh: false })
+            .build()
+            .unwrap();
+        // Nothing accumulated yet: patching is a no-op (no new epoch).
+        assert_eq!(service.patch_index().unwrap(), 0);
+
+        let ups = [
+            EdgeUpdate::Insert(0, 299),
+            EdgeUpdate::Insert(299, 17),
+            EdgeUpdate::Delete(0, 299),
+            EdgeUpdate::Insert(42, 7),
+        ];
+        let outcome = service.apply_updates(&ups).unwrap();
+        assert!(outcome.report.index_stale);
+        let stale: Vec<f64> = service.snapshot().index().unwrap().stranger().to_vec();
+
+        assert_eq!(service.patch_index().unwrap(), outcome.epoch + 1);
+        assert!(!service.index_stale());
+        assert_eq!(service.accumulated_drift(), 0.0);
+        // Consecutive patch with nothing new accumulated: no-op.
+        assert_eq!(service.patch_index().unwrap(), outcome.epoch + 1);
+
+        // The patched stranger tracks a from-scratch re-preprocess far
+        // more closely than the stale vector it replaced (it is not
+        // bitwise: the O((1−c)^T) window-shift tail is dropped).
+        let mut replay = DynamicGraph::new(g);
+        replay.apply(&ups);
+        let fresh = TpaIndex::preprocess(&replay.snapshot(), params);
+        let l1 =
+            |a: &[f64], b: &[f64]| -> f64 { a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum() };
+        let patched_err = l1(service.snapshot().index().unwrap().stranger(), fresh.stranger());
+        let stale_err = l1(&stale, fresh.stranger());
+        assert!(
+            patched_err < 1e-3 && patched_err < stale_err,
+            "patched drifted {patched_err} (stale was {stale_err})"
+        );
+    }
+
+    #[test]
+    fn invalid_staleness_policy_is_an_error_not_a_panic() {
+        let g = test_graph();
+        for threshold in [0.0, -1.0, f64::NAN] {
+            let err = ServiceBuilder::in_memory(g.clone())
+                .staleness(IndexStalenessPolicy { threshold, auto_refresh: false })
+                .build()
+                .unwrap_err();
+            assert!(matches!(err, TpaError::InvalidConfig(_)), "{err}");
+            assert!(err.to_string().contains("staleness threshold"), "{err}");
+        }
+        // Infinite thresholds are a legitimate "never stale" policy.
+        let never = IndexStalenessPolicy { threshold: f64::INFINITY, auto_refresh: false };
+        assert!(ServiceBuilder::in_memory(g).staleness(never).build().is_ok());
+    }
+
+    #[test]
+    fn tie_break_is_deterministic_across_backends() {
+        // A graph with massive symmetry produces many exactly-equal
+        // scores; the ranking must still be identical across backends and
+        // runs (ascending node id within a tie).
+        let g = tpa_graph::gen::cycle_graph(64);
+        let req = QueryRequest::single(0).top_k(10).exact();
+        let ranked =
+            |b: ServiceBuilder| b.build().unwrap().submit(&req).unwrap().result.into_ranked();
+        let seq = ranked(ServiceBuilder::in_memory(g.clone()));
+        assert_eq!(seq, ranked(ServiceBuilder::in_memory(g.clone()).threads(4)));
+        assert_eq!(seq, ranked(ServiceBuilder::dynamic(DynamicGraph::new(g.clone()))));
+        assert_eq!(seq, ranked(ServiceBuilder::in_memory(g)));
+        // Within every run of equal scores, node ids ascend.
+        for w in seq[0].windows(2) {
+            if w[0].1 == w[1].1 {
+                assert!(w[0].0 < w[1].0, "tie not broken by ascending id: {w:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn reordered_backends_agree_bitwise() {
+        let g = test_graph();
+        let seeds: Vec<NodeId> = vec![2, 77, 201];
+        let strategy = ReorderStrategy::DegreeDescending;
+        let seq = ServiceBuilder::in_memory(g.clone()).reordering(strategy).build().unwrap();
+        let par =
+            ServiceBuilder::in_memory(g.clone()).threads(4).reordering(strategy).build().unwrap();
+        let dynamic =
+            ServiceBuilder::dynamic(DynamicGraph::new(g)).reordering(strategy).build().unwrap();
+        let reference = batch(&seq, &seeds);
+        assert_eq!(batch(&par, &seeds), reference);
+        assert_eq!(batch(&dynamic, &seeds), reference);
+    }
+
+    #[test]
+    fn frontier_policy_is_bitwise_invisible_through_the_service() {
+        let g = Arc::new(test_graph());
+        let index = Arc::new(TpaIndex::preprocess(&g, TpaParams::new(5, 10)));
+        let with = |policy: FrontierPolicy| {
+            ServiceBuilder::in_memory(Arc::clone(&g))
+                .index(Arc::clone(&index))
+                .frontier(policy)
+                .build()
+                .unwrap()
+        };
+        let (dense, sparse) = (with(FrontierPolicy::Dense), with(FrontierPolicy::Sparse));
+        let auto =
+            ServiceBuilder::in_memory(Arc::clone(&g)).index(Arc::clone(&index)).build().unwrap();
+        assert_eq!(auto.snapshot().frontier(), FrontierPolicy::Auto);
+        // Indexed, exact, and top-k paths all agree to the bit.
+        assert_eq!(dense.query(13).unwrap(), sparse.query(13).unwrap());
+        assert_eq!(dense.query(13).unwrap(), auto.query(13).unwrap());
+        assert_eq!(dense.top_k(13, 7).unwrap(), auto.top_k(13, 7).unwrap());
+        let exact_of = |s: &RwrService| scores(s, QueryRequest::single(7).exact());
+        assert_eq!(exact_of(&dense), exact_of(&sparse));
+        assert_eq!(exact_of(&dense), exact_of(&auto));
+        // A request-level override beats the service default.
+        let req = QueryRequest::single(13).with_frontier(FrontierPolicy::Sparse);
+        assert_eq!(req.frontier(), Some(FrontierPolicy::Sparse));
+        assert_eq!(scores(&dense, req), auto.query(13).unwrap());
+    }
+
+    #[test]
+    fn frontier_policy_agrees_across_backends() {
+        let g = test_graph();
+        let reference =
+            ServiceBuilder::in_memory(g.clone()).frontier(FrontierPolicy::Dense).build().unwrap();
+        let reference = reference.query(42).unwrap();
+        for policy in [FrontierPolicy::Auto, FrontierPolicy::Sparse] {
+            for (name, builder) in [
+                ("seq", ServiceBuilder::in_memory(g.clone())),
+                ("par", ServiceBuilder::in_memory(g.clone()).threads(4)),
+                ("dyn", ServiceBuilder::dynamic(DynamicGraph::new(g.clone()))),
+            ] {
+                let service = builder.frontier(policy).build().unwrap();
+                assert_eq!(service.query(42).unwrap(), reference, "{name} {}", policy.name());
+            }
+        }
+    }
+
+    #[test]
+    fn mismatched_permutations_are_rejected() {
+        let g = test_graph();
+        let index = ServiceBuilder::in_memory(g.clone())
+            .reordering(ReorderStrategy::DegreeDescending)
+            .preprocess(TpaParams::new(4, 9))
+            .build()
+            .unwrap()
+            .snapshot()
+            .index()
+            .unwrap()
+            .clone();
+        let err = ServiceBuilder::in_memory(g)
+            .reordering(ReorderStrategy::Rcm)
+            .index(index)
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, TpaError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("already stores an ordering"), "{err}");
     }
 
     #[test]
@@ -2244,6 +2769,46 @@ mod tests {
         let a = plain_dyn.query(7).unwrap();
         let b = reordered_dyn.query(7).unwrap();
         let l1: f64 = a.iter().zip(&b).map(|(p, q)| (p - q).abs()).sum();
+        assert!(l1 < 1e-8, "post-update scores drifted {l1}");
+    }
+
+    #[test]
+    fn reordered_service_is_transparent_to_callers() {
+        let g = test_graph();
+        let plain = ServiceBuilder::in_memory(g.clone()).build().unwrap();
+        let a = plain.query(13).unwrap();
+        for strategy in ReorderStrategy::ALL {
+            let reordered =
+                ServiceBuilder::in_memory(g.clone()).reordering(strategy).build().unwrap();
+            assert_eq!(reordered.snapshot().permutation().unwrap().len(), g.n());
+            let b = reordered.query(13).unwrap();
+            // Same CPI on an isomorphic graph: equal up to FP association
+            // (the gather visits neighbors in relabeled order).
+            let l1: f64 = a.iter().zip(&b).map(|(x, y)| (x - y).abs()).sum();
+            assert!(l1 < 1e-8, "{}: unmapped scores drifted {l1}", strategy.name());
+            // Top-k ranks in caller (old-id) space.
+            for (v, _) in reordered.top_k(13, 5).unwrap() {
+                assert!((v as usize) < g.n());
+            }
+        }
+    }
+
+    #[test]
+    fn reordered_dynamic_service_accepts_old_id_updates() {
+        let g = test_graph();
+        let plain = ServiceBuilder::dynamic(DynamicGraph::new(g.clone())).build().unwrap();
+        let reordered = ServiceBuilder::dynamic(DynamicGraph::new(g))
+            .reordering(ReorderStrategy::HubCluster)
+            .build()
+            .unwrap();
+        let ups =
+            [EdgeUpdate::Insert(13, 200), EdgeUpdate::Delete(13, 200), EdgeUpdate::Insert(7, 40)];
+        let a = plain.apply_updates(&ups).unwrap();
+        let b = reordered.apply_updates(&ups).unwrap();
+        assert_eq!(a.report.delta.stats, b.report.delta.stats);
+        let x = plain.query(7).unwrap();
+        let y = reordered.query(7).unwrap();
+        let l1: f64 = x.iter().zip(&y).map(|(p, q)| (p - q).abs()).sum();
         assert!(l1 < 1e-8, "post-update scores drifted {l1}");
     }
 
@@ -2448,5 +3013,90 @@ mod tests {
         assert!(second.snapshot().permutation().is_some());
         assert_eq!(first.query(42).unwrap(), second.query(42).unwrap());
         assert_eq!(first.top_k(42, 7).unwrap(), second.top_k(42, 7).unwrap());
+    }
+
+    #[test]
+    fn preprocess_stamps_permutation_and_index_roundtrips() {
+        let g = test_graph();
+        let params = TpaParams::new(5, 10);
+        let service = ServiceBuilder::in_memory(g.clone())
+            .reordering(ReorderStrategy::Rcm)
+            .preprocess(params)
+            .build()
+            .unwrap();
+        // Preprocessing stamped the service's permutation into the index.
+        let snap = service.snapshot();
+        let index = snap.index().unwrap();
+        assert_eq!(index.permutation(), snap.permutation());
+
+        // Save, load, attach to a *fresh* builder: the stored permutation
+        // restores the ordering transparently and answers are identical.
+        let mut buf = Vec::new();
+        index.save(&mut buf).unwrap();
+        let loaded = TpaIndex::load(std::io::Cursor::new(&buf)).unwrap();
+        let served = ServiceBuilder::in_memory(g).index(loaded).build().unwrap();
+        assert_eq!(served.snapshot().permutation(), snap.permutation());
+        assert_eq!(served.query(42).unwrap(), service.query(42).unwrap());
+        assert_eq!(served.top_k(42, 7).unwrap(), service.top_k(42, 7).unwrap());
+    }
+
+    #[test]
+    fn empty_batch_yields_empty_result() {
+        // Serving queues drain to zero; an empty plan is not an error.
+        let g = test_graph();
+        let service =
+            ServiceBuilder::in_memory(g).preprocess(TpaParams::new(4, 9)).build().unwrap();
+        assert!(batch(&service, &[]).is_empty());
+        let ranked = service.submit(&QueryRequest::batch(Vec::<NodeId>::new()).top_k(5)).unwrap();
+        assert!(ranked.result.into_ranked().is_empty());
+    }
+
+    #[test]
+    fn submit_rejects_out_of_range_seed() {
+        let g = test_graph();
+        let service = ServiceBuilder::in_memory(g.clone()).build().unwrap();
+        let err = service.submit(&QueryRequest::single(g.n() as NodeId)).unwrap_err();
+        assert!(
+            matches!(err, TpaError::SeedOutOfRange { seed, n } if seed as usize == g.n() && n == g.n()),
+            "{err}"
+        );
+        // A bad seed anywhere in a batch is caught at admission too.
+        let err = service.submit(&QueryRequest::batch(vec![0, 1, 9999])).unwrap_err();
+        assert!(matches!(err, TpaError::SeedOutOfRange { seed: 9999, .. }), "{err}");
+        // The convenience entry points return the same typed error.
+        let err = service.query(g.n() as NodeId).unwrap_err();
+        assert!(matches!(err, TpaError::SeedOutOfRange { .. }), "{err}");
+    }
+
+    #[test]
+    fn rejects_foreign_index() {
+        let g = test_graph();
+        let other = tpa_graph::gen::cycle_graph(7);
+        let index = TpaIndex::preprocess(&other, TpaParams::new(3, 6));
+        let err = ServiceBuilder::in_memory(g.clone()).index(index).build().unwrap_err();
+        assert!(
+            matches!(err, TpaError::DimensionMismatch { backend, index: 7 } if backend == g.n()),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn static_backends_reject_updates() {
+        let g = test_graph();
+        let sequential = ServiceBuilder::in_memory(g.clone()).build().unwrap();
+        let err = sequential.apply_updates(&[EdgeUpdate::Insert(0, 1)]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TpaError::BackendMismatch { operation: "edge updates", backend: "sequential" }
+            ),
+            "{err}"
+        );
+        let err = sequential.compact().unwrap_err();
+        assert!(matches!(err, TpaError::BackendMismatch { .. }), "{err}");
+        // The parallel backend is just as immutable.
+        let parallel = ServiceBuilder::in_memory(g).threads(2).build().unwrap();
+        let err = parallel.apply_updates(&[EdgeUpdate::Insert(0, 1)]).unwrap_err();
+        assert!(matches!(err, TpaError::BackendMismatch { .. }), "{err}");
     }
 }

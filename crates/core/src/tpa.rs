@@ -98,7 +98,7 @@ pub struct TpaIndex {
     stats: PreprocessStats,
     /// Set when the index was preprocessed on a reordered (relabeled)
     /// graph: the stranger vector is in *new*-id order and queries must
-    /// run on the equally-permuted graph. [`crate::QueryEngine`] applies
+    /// run on the equally-permuted graph. [`crate::RwrService`] applies
     /// the permutation transparently; [`TpaIndex::save`] persists it so
     /// saved indexes round-trip.
     perm: Option<Permutation>,
@@ -417,6 +417,12 @@ impl TpaIndex {
 
     /// Deserializes an index produced by [`TpaIndex::save`]. Format 1
     /// files (pre-reordering) load with no permutation.
+    ///
+    /// Total on untrusted bytes: bad magic, out-of-range parameters,
+    /// corrupt entries and truncation all return
+    /// [`std::io::ErrorKind::InvalidData`] or `UnexpectedEof` errors,
+    /// never a panic. Vectors grow as their bytes arrive, so a forged
+    /// length field cannot force a huge up-front allocation.
     pub fn load(mut r: impl std::io::Read) -> std::io::Result<Self> {
         use std::io::{Error, ErrorKind};
         let mut magic = [0u8; 8];
@@ -440,6 +446,8 @@ impl TpaIndex {
         };
         let s = read_u64(&mut r)? as usize;
         let t = read_u64(&mut r)? as usize;
+        let params = TpaParams { c, eps, s, t };
+        params.check().map_err(|e| Error::new(ErrorKind::InvalidData, e.to_string()))?;
         let iterations = read_u64(&mut r)? as usize;
         let mut f2 = [0u8; 8];
         r.read_exact(&mut f2)?;
@@ -450,7 +458,7 @@ impl TpaIndex {
         if n > (1usize << 40) {
             return Err(Error::new(ErrorKind::InvalidData, "implausible index length"));
         }
-        let mut stranger = Vec::with_capacity(n);
+        let mut stranger = Vec::with_capacity(n.min(Self::IO_CHUNK));
         let mut buf = vec![0u8; Self::IO_CHUNK * 8];
         let mut remaining = n;
         while remaining > 0 {
@@ -474,7 +482,7 @@ impl TpaIndex {
             if plen == 0 {
                 None
             } else {
-                let mut table = Vec::with_capacity(plen);
+                let mut table = Vec::with_capacity(plen.min(Self::IO_CHUNK));
                 let mut remaining = plen;
                 while remaining > 0 {
                     let take = remaining.min(Self::IO_CHUNK * 2);
@@ -491,8 +499,6 @@ impl TpaIndex {
         } else {
             None
         };
-        let params = TpaParams { c, eps, s, t };
-        params.validate();
         Ok(Self { params, stranger, stats: PreprocessStats { iterations, final_residual }, perm })
     }
 }
@@ -633,6 +639,67 @@ mod tests {
         index.save(&mut buf).unwrap();
         buf.truncate(buf.len() - 4);
         assert!(TpaIndex::load(std::io::Cursor::new(&buf)).is_err());
+    }
+
+    /// A saved index with its header patched at `offset` (the field
+    /// layout of [`TpaIndex::save`]: c @ 8, eps @ 16, S @ 24, T @ 32,
+    /// stranger length @ 56).
+    fn patched_header(offset: usize, bytes: [u8; 8]) -> Vec<u8> {
+        let g = tpa_graph::gen::cycle_graph(6);
+        let mut buf = Vec::new();
+        TpaIndex::preprocess(&g, TpaParams::new(3, 6)).save(&mut buf).unwrap();
+        buf[offset..offset + 8].copy_from_slice(&bytes);
+        buf
+    }
+
+    fn load_err(buf: &[u8]) -> std::io::Error {
+        match TpaIndex::load(std::io::Cursor::new(buf)) {
+            Ok(_) => panic!("a corrupt header must not load"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn load_survives_a_huge_stranger_length() {
+        // 2^40 − 1 passes the plausibility check; the vector must grow
+        // with the bytes that actually arrive instead of aborting in an
+        // up-front allocation.
+        let buf = patched_header(56, ((1u64 << 40) - 1).to_le_bytes());
+        assert_eq!(load_err(&buf).kind(), std::io::ErrorKind::UnexpectedEof);
+        // A forged permutation length (the trailer's last 8 bytes) is
+        // refused without allocating for it either.
+        let mut buf = patched_header(8, 0.15f64.to_le_bytes());
+        let trailer = buf.len() - 8;
+        buf[trailer..].copy_from_slice(&((1u64 << 40) - 1).to_le_bytes());
+        assert_eq!(load_err(&buf).kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn load_rejects_out_of_range_c() {
+        let err = load_err(&patched_header(8, 7.0f64.to_le_bytes()));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("c must be in (0,1)"), "{err}");
+    }
+
+    #[test]
+    fn load_rejects_nan_eps() {
+        let err = load_err(&patched_header(16, f64::NAN.to_le_bytes()));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("eps must be positive"), "{err}");
+    }
+
+    #[test]
+    fn load_rejects_zero_s() {
+        let err = load_err(&patched_header(24, 0u64.to_le_bytes()));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("S must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn load_rejects_t_not_above_s() {
+        let err = load_err(&patched_header(32, 3u64.to_le_bytes()));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("must exceed S"), "{err}");
     }
 
     #[test]

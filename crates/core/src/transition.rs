@@ -88,8 +88,8 @@ pub trait Propagator {
 }
 
 /// Borrowed or shared ownership of a [`CsrGraph`]. Backends were born
-/// borrowing (`&'g CsrGraph`); the reordering layer additionally needs
-/// engines that *own* the permuted graph they just built, so backends
+/// borrowing (`&'g CsrGraph`); a service additionally needs backends
+/// that *own* the (possibly permuted) graph they serve, so backends
 /// accept either. One indirection resolved per propagation call — never
 /// inside a kernel loop.
 pub(crate) enum GraphHandle<'g> {
@@ -136,8 +136,8 @@ impl<'g> Transition<'g> {
         Self { graph: GraphHandle::Borrowed(graph), inv_out_deg }
     }
 
-    /// Binds the operator to a shared-ownership graph (used by reordered
-    /// engines, which own the permuted graph they serve).
+    /// Binds the operator to a shared-ownership graph (used by services,
+    /// which own the — possibly permuted — graph they serve).
     pub fn shared(graph: Arc<CsrGraph>) -> Transition<'static> {
         let inv_out_deg = graph.inv_out_degrees();
         Transition { graph: GraphHandle::Shared(graph), inv_out_deg }

@@ -1,6 +1,6 @@
 //! Property tests: every propagation backend must produce **bit-identical**
-//! scores for the same seeds — the invariant the `QueryEngine` relies on
-//! to swap backends freely under a serving workload.
+//! scores for the same seeds — the invariant `RwrService` relies on to
+//! swap backends freely under a serving workload.
 //!
 //! Covered backends: sequential [`Transition`], [`ParallelTransition`]
 //! (several worker counts), batched [`ScoreBlock`] lanes via `cpi_batch`,
@@ -11,7 +11,8 @@ use rand::{rngs::StdRng, SeedableRng};
 use tpa_core::batch::cpi_batch;
 use tpa_core::offcore::DiskGraph;
 use tpa_core::{
-    cpi, CpiConfig, ParallelTransition, QueryEngine, SeedSet, TpaIndex, TpaParams, Transition,
+    cpi, CpiConfig, ParallelTransition, QueryRequest, SeedSet, ServiceBuilder, TpaIndex, TpaParams,
+    Transition,
 };
 use tpa_graph::gen::erdos_renyi_gnm;
 use tpa_graph::{CsrGraph, NodeId};
@@ -107,7 +108,7 @@ proptest! {
         prop_assert_eq!(&block.lane(1), &mem);
     }
 
-    /// End to end: indexed engine queries are bit-identical across all
+    /// End to end: indexed service requests are bit-identical across all
     /// three backends, batched or not.
     #[test]
     fn engine_serves_identical_answers_on_every_backend(
@@ -116,20 +117,27 @@ proptest! {
         f1 in 0.0f64..1.0,
         f2 in 0.0f64..1.0,
     ) {
-        let g = random_graph(n, gseed);
+        let g = std::sync::Arc::new(random_graph(n, gseed));
         let index = std::sync::Arc::new(TpaIndex::preprocess(&g, TpaParams::new(4, 9)));
         let seeds = seeds_from_fracs(n, &[f1, f2]);
         let path = unique_tmp(0x0ff0 ^ gseed ^ (n as u64) << 24);
         let disk = DiskGraph::create(&g, &path).unwrap();
 
-        let reference = QueryEngine::sequential(&g).with_index(index.clone());
-        let singles: Vec<Vec<f64>> = seeds.iter().map(|&s| reference.query(s)).collect();
-        for engine in [
-            QueryEngine::parallel(&g, 3).with_index(index.clone()),
-            QueryEngine::out_of_core(disk).with_index(index.clone()),
+        let reference = ServiceBuilder::in_memory(g.clone()).index(index.clone()).build().unwrap();
+        let singles: Vec<Vec<f64>> = seeds.iter().map(|&s| reference.query(s).unwrap()).collect();
+        for builder in [
+            ServiceBuilder::in_memory(g.clone()).threads(3),
+            ServiceBuilder::out_of_core(disk),
         ] {
-            let batch = engine.query_batch(&seeds);
-            prop_assert_eq!(&batch, &singles, "backend {}", engine.backend().name());
+            let service = builder.index(index.clone()).build().unwrap();
+            let batch = service
+                .submit(&QueryRequest::batch(seeds.clone()))
+                .unwrap()
+                .result
+                .into_scores();
+            prop_assert_eq!(
+                &batch, &singles, "backend {}", service.snapshot().backend().name()
+            );
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -1,18 +1,20 @@
 //! Property tests for the dynamic subsystem: after an arbitrary
 //! interleaving of inserts, deletes, and compactions,
 //!
-//! * exact-mode scores served through the overlay are **bit-identical**
-//!   to a `CsrGraph` rebuilt from scratch, across the sequential and
-//!   parallel backends;
-//! * incrementally maintained cached scores (OSP offset propagation)
-//!   match a from-scratch recomputation to the exact-mode tolerance, and
-//!   stay within the stated bound in approximate mode.
+//! * exact-mode scores served through the overlay's published view
+//!   (`DynamicTransition::publish_patched`) and through a dynamic
+//!   `RwrService` are **bit-identical** to a `CsrGraph` rebuilt from
+//!   scratch, across the sequential and parallel backends;
+//! * the service's incrementally maintained score-cache lanes (OSP
+//!   offset propagation at every publish) match a from-scratch
+//!   recomputation to the exact-mode tolerance, and stay within the
+//!   stated bound in approximate mode.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use tpa_core::{
-    cpi, CpiConfig, DynamicTransition, MaintenanceMode, ParallelTransition, QueryEngine, QueryPlan,
-    ScoreCache, SeedSet, Transition,
+    cpi, CpiConfig, DynamicTransition, MaintenanceMode, ParallelTransition, QueryRequest,
+    RwrService, SeedSet, ServiceBuilder, Transition,
 };
 use tpa_graph::gen::erdos_renyi_gnm;
 use tpa_graph::{CsrGraph, DanglingPolicy, DynamicGraph, EdgeUpdate, GraphBuilder, NodeId};
@@ -49,6 +51,20 @@ fn rebuild(g: &DynamicGraph) -> CsrGraph {
     b.build()
 }
 
+/// A dynamic service pinning `seed` in an exact-CPI score cache
+/// maintained under `mode`.
+fn cached_service(base: CsrGraph, seed: NodeId, mode: MaintenanceMode) -> RwrService {
+    ServiceBuilder::dynamic(DynamicGraph::new(base)).score_cache([seed], mode).build().unwrap()
+}
+
+/// The service's cached lane for `seed` (an exact request the cache
+/// answers without running a kernel).
+fn cached_lane(service: &RwrService, seed: NodeId) -> Vec<f64> {
+    let resp = service.submit(&QueryRequest::single(seed).exact()).unwrap();
+    assert!(resp.cached, "seed {seed} must be answered from the cache");
+    resp.result.into_scores().pop().unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -78,7 +94,7 @@ proptest! {
         let cfg = CpiConfig::default();
 
         let overlay = cpi(
-            &DynamicTransition::new(dynamic.clone()),
+            &DynamicTransition::new(dynamic.clone()).publish_patched(),
             &SeedSet::single(seed), &cfg, 0, None,
         ).scores;
         let sequential = cpi(&Transition::new(&rebuilt), &SeedSet::single(seed), &cfg, 0, None)
@@ -90,15 +106,16 @@ proptest! {
         prop_assert_eq!(&overlay, &sequential);
         prop_assert_eq!(&overlay, &parallel);
 
-        // The engine's exact plan path agrees too.
-        let engine = QueryEngine::dynamic(dynamic);
-        let via_engine = engine
-            .execute(&QueryPlan::single(seed).exact())
+        // The service's exact request path agrees too.
+        let service = ServiceBuilder::dynamic(dynamic).threads(threads).build().unwrap();
+        let via_service = service
+            .submit(&QueryRequest::single(seed).exact())
             .expect("in-range seed")
+            .result
             .into_scores()
             .pop()
             .unwrap();
-        prop_assert_eq!(&via_engine, &sequential);
+        prop_assert_eq!(&via_service, &sequential);
     }
 
     /// Incremental maintenance: exact-mode refreshes track a from-scratch
@@ -118,37 +135,35 @@ proptest! {
         let cfg = CpiConfig::default();
         let tolerance = 1e-4;
 
-        let mut t = DynamicTransition::new(DynamicGraph::new(base));
-        let mut exact = ScoreCache::new(cfg, MaintenanceMode::Exact);
-        let mut approx = ScoreCache::new(cfg, MaintenanceMode::Approximate { tolerance });
-        exact.warm(&t, &[seed]);
-        approx.warm(&t, &[seed]);
+        let mut replay = DynamicGraph::new(base.clone());
+        let exact = cached_service(base.clone(), seed, MaintenanceMode::Exact);
+        let approx = cached_service(base, seed, MaintenanceMode::Approximate { tolerance });
 
-        // Apply the script as two batches (refresh after each), exercising
-        // multi-batch maintenance.
+        // Apply the script as two batches (each publish refreshes the
+        // lanes), exercising multi-batch maintenance.
         let split = batch_split.min(updates.len());
         let mut batches = 0usize;
         for chunk in [&updates[..split], &updates[split..]] {
             if chunk.is_empty() {
                 continue;
             }
-            let delta = t.apply(chunk);
-            exact.refresh(&t, &delta);
-            approx.refresh(&t, &delta);
+            replay.apply(chunk);
+            exact.apply_updates(chunk).unwrap();
+            approx.apply_updates(chunk).unwrap();
             batches += 1;
         }
 
         let fresh = cpi(
-            &Transition::new(&rebuild(t.graph())),
+            &Transition::new(&rebuild(&replay)),
             &SeedSet::single(seed), &cfg, 0, None,
         ).scores;
         let l1 = |a: &[f64]| -> f64 {
             a.iter().zip(&fresh).map(|(x, y)| (x - y).abs()).sum()
         };
-        prop_assert!(l1(&exact.scores(seed).unwrap()) < 1e-7, "exact drift");
+        prop_assert!(l1(&cached_lane(&exact, seed)) < 1e-7, "exact drift");
         let bound = batches as f64 * 2.0 * tolerance / cfg.c;
         prop_assert!(
-            l1(&approx.scores(seed).unwrap()) <= bound,
+            l1(&cached_lane(&approx, seed)) <= bound,
             "approximate drift above bound",
         );
     }

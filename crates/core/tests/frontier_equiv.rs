@@ -4,19 +4,20 @@
 //! direction decision may only ever change latency, never a bit of
 //! output. Covered surfaces:
 //!
-//! 1. `cpi_policy` across sequential / parallel / dynamic backends ×
+//! 1. `cpi_policy` across sequential / parallel / patched backends ×
 //!    {Dense, Sparse, Auto} × single- and multi-seed sets × full and
 //!    windowed (family-style) runs.
-//! 2. Dynamic backends *after* update batches (dirty overlays), where
-//!    the sparse path walks the merged out-view and materialized
+//! 2. Patched views published *after* update batches (dirty overlays),
+//!    where the sparse path walks the merged out-rows and materialized
 //!    in-rows.
-//! 3. Reordered engines (`with_reordering` × `with_frontier`): the
-//!    permuted gather must stay bitwise stable under every policy.
+//! 3. Reordered services (`reordering` × `frontier`): the permuted
+//!    gather must stay bitwise stable under every policy.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use tpa_core::{
-    cpi_policy, CpiConfig, FrontierPolicy, ParallelTransition, QueryEngine, SeedSet, Transition,
+    cpi_policy, CpiConfig, DynamicTransition, FrontierPolicy, ParallelTransition, SeedSet,
+    ServiceBuilder, Transition,
 };
 use tpa_graph::gen::erdos_renyi_gnm;
 use tpa_graph::{CsrGraph, DynamicGraph, EdgeUpdate, NodeId, ReorderStrategy};
@@ -51,7 +52,7 @@ proptest! {
         let seq = Transition::new(&g);
         let reference = cpi_policy(&seq, &seeds, &cfg, 0, end, FrontierPolicy::Dense);
         let par = ParallelTransition::new(&g, threads);
-        let dyn_t = tpa_core::DynamicTransition::new(DynamicGraph::new(g.clone()));
+        let dyn_t = DynamicTransition::new(DynamicGraph::new(g.clone())).publish_patched();
         for policy in POLICIES {
             for (name, run) in [
                 ("seq", cpi_policy(&seq, &seeds, &cfg, 0, end, policy)),
@@ -108,15 +109,15 @@ proptest! {
             EdgeUpdate::Insert(v % m, (u + 1) % m),
             EdgeUpdate::Delete(u % m, (v + 1) % m),
         ];
-        let mut seq = tpa_core::DynamicTransition::new(
-            DynamicGraph::new(g.clone()).with_compact_threshold(None),
-        );
+        let mut seq =
+            DynamicTransition::new(DynamicGraph::new(g.clone()).with_compact_threshold(None));
         seq.apply(&ups);
-        let mut par = tpa_core::DynamicTransition::new(
-            DynamicGraph::new(g.clone()).with_compact_threshold(None),
-        )
-        .with_threads(threads);
+        let seq = seq.publish_patched();
+        let mut par =
+            DynamicTransition::new(DynamicGraph::new(g.clone()).with_compact_threshold(None))
+                .with_threads(threads);
         par.apply(&ups);
+        let par = par.publish_patched();
         let cfg = CpiConfig::default();
         let seeds = SeedSet::single((u % m).min(n as u32 - 1));
         let dense = cpi_policy(&seq, &seeds, &cfg, 0, None, FrontierPolicy::Dense);
@@ -135,7 +136,7 @@ proptest! {
     }
 
     /// Invariant 3: reordering and frontier scheduling compose — on the
-    /// permuted graph every policy still matches that engine's dense
+    /// permuted graph every policy still matches that service's dense
     /// answer bit for bit (including SlashBurn, the newest ordering).
     #[test]
     fn reordered_engines_agree_bitwise_under_every_policy(
@@ -147,25 +148,16 @@ proptest! {
         let g = random_graph(n, gseed);
         let strategy = ReorderStrategy::ALL[pick];
         let seed = ((n as f64 * seed_frac) as usize).min(n - 1) as NodeId;
-        let dense = QueryEngine::sequential(&g)
-            .with_reordering(strategy)
-            .with_frontier(FrontierPolicy::Dense)
-            .query(seed);
+        let query = |builder: ServiceBuilder, policy: FrontierPolicy| {
+            builder.reordering(strategy).frontier(policy).build().unwrap().query(seed).unwrap()
+        };
+        let dense = query(ServiceBuilder::in_memory(g.clone()), FrontierPolicy::Dense);
         for policy in [FrontierPolicy::Sparse, FrontierPolicy::Auto] {
-            let seq = QueryEngine::sequential(&g)
-                .with_reordering(strategy)
-                .with_frontier(policy)
-                .query(seed);
+            let seq = query(ServiceBuilder::in_memory(g.clone()), policy);
             prop_assert_eq!(&seq, &dense, "seq {} {}", strategy.name(), policy.name());
-            let par = QueryEngine::parallel(&g, 3)
-                .with_reordering(strategy)
-                .with_frontier(policy)
-                .query(seed);
+            let par = query(ServiceBuilder::in_memory(g.clone()).threads(3), policy);
             prop_assert_eq!(&par, &dense, "par {} {}", strategy.name(), policy.name());
-            let dynamic = QueryEngine::dynamic(DynamicGraph::new(g.clone()))
-                .with_reordering(strategy)
-                .with_frontier(policy)
-                .query(seed);
+            let dynamic = query(ServiceBuilder::dynamic(DynamicGraph::new(g.clone())), policy);
             prop_assert_eq!(&dynamic, &dense, "dyn {} {}", strategy.name(), policy.name());
         }
     }

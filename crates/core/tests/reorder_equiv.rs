@@ -1,7 +1,7 @@
 //! Property tests for the locality layer's serving invariants:
 //!
-//! 1. **Permutation invariance** — a query through a reordered engine,
-//!    unmapped back to caller ids, equals the un-reordered engine's
+//! 1. **Permutation invariance** — a query through a reordered service,
+//!    unmapped back to caller ids, equals the un-reordered service's
 //!    answer (up to floating-point association: the relabeled gather
 //!    sums in-neighbors in a different order), across the sequential,
 //!    parallel, and dynamic backends.
@@ -14,7 +14,9 @@
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use tpa_core::{ParallelTransition, Propagator, QueryEngine, TpaParams, Transition};
+use tpa_core::{
+    ParallelTransition, Propagator, QueryRequest, RwrService, ServiceBuilder, TpaParams, Transition,
+};
 use tpa_graph::gen::erdos_renyi_gnm;
 use tpa_graph::{CsrGraph, DynamicGraph, NodeId, ReorderStrategy};
 
@@ -35,6 +37,18 @@ fn l1(a: &[f64], b: &[f64]) -> f64 {
 /// in L1, far below any serving-visible difference.
 const TOL: f64 = 1e-7;
 
+fn build(builder: ServiceBuilder) -> RwrService {
+    builder.build().expect("valid serving configuration")
+}
+
+fn query(service: &RwrService, seed: NodeId) -> Vec<f64> {
+    service.query(seed).expect("in-range seed")
+}
+
+fn query_batch(service: &RwrService, seeds: &[NodeId]) -> Vec<Vec<f64>> {
+    service.submit(&QueryRequest::batch(seeds.to_vec())).unwrap().result.into_scores()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -50,20 +64,20 @@ proptest! {
         let g = random_graph(n, gseed);
         let seed = ((n as f64 * seed_frac) as usize).min(n - 1) as NodeId;
         let strategy = STRATEGIES[pick];
-        let plain = QueryEngine::sequential(&g).query(seed);
-        let engines = [
-            QueryEngine::sequential(&g).with_reordering(strategy),
-            QueryEngine::parallel(&g, 3).with_reordering(strategy),
-            QueryEngine::dynamic(DynamicGraph::new(g.clone())).with_reordering(strategy),
+        let plain = query(&build(ServiceBuilder::in_memory(g.clone())), seed);
+        let services = [
+            build(ServiceBuilder::in_memory(g.clone()).reordering(strategy)),
+            build(ServiceBuilder::in_memory(g.clone()).threads(3).reordering(strategy)),
+            build(ServiceBuilder::dynamic(DynamicGraph::new(g.clone())).reordering(strategy)),
         ];
-        for engine in &engines {
-            let unmapped = engine.query(seed);
+        for service in &services {
+            let unmapped = query(service, seed);
             let err = l1(&plain, &unmapped);
             prop_assert!(
                 err < TOL,
                 "{} / {}: unmapped scores drifted {} (> {})",
                 strategy.name(),
-                engine.backend().name(),
+                service.snapshot().backend().name(),
                 err,
                 TOL
             );
@@ -81,11 +95,11 @@ proptest! {
         let g = random_graph(n, gseed);
         let params = TpaParams::new(4, 9);
         let strategy = STRATEGIES[pick];
-        let plain = QueryEngine::sequential(&g).preprocess(params);
+        let plain = build(ServiceBuilder::in_memory(g.clone()).preprocess(params));
         let reordered =
-            QueryEngine::sequential(&g).with_reordering(strategy).preprocess(params);
+            build(ServiceBuilder::in_memory(g).reordering(strategy).preprocess(params));
         let seed = (n / 2) as NodeId;
-        let err = l1(&plain.query(seed), &reordered.query(seed));
+        let err = l1(&query(&plain, seed), &query(&reordered, seed));
         prop_assert!(err < TOL, "{}: indexed drift {}", strategy.name(), err);
     }
 
@@ -102,15 +116,15 @@ proptest! {
         let g = random_graph(n, gseed);
         let strategy = STRATEGIES[pick];
         let seeds: Vec<NodeId> = vec![0, (n / 3) as NodeId, (n - 1) as NodeId];
-        let seq = QueryEngine::sequential(&g).with_reordering(strategy);
-        let par = QueryEngine::parallel(&g, threads).with_reordering(strategy);
+        let seq = build(ServiceBuilder::in_memory(g.clone()).reordering(strategy));
+        let par = build(ServiceBuilder::in_memory(g.clone()).threads(threads).reordering(strategy));
         let dynamic =
-            QueryEngine::dynamic(DynamicGraph::new(g.clone())).with_reordering(strategy);
-        let reference = seq.query_batch(&seeds);
-        prop_assert_eq!(&par.query_batch(&seeds), &reference);
-        prop_assert_eq!(&dynamic.query_batch(&seeds), &reference);
+            build(ServiceBuilder::dynamic(DynamicGraph::new(g.clone())).reordering(strategy));
+        let reference = query_batch(&seq, &seeds);
+        prop_assert_eq!(&query_batch(&par, &seeds), &reference);
+        prop_assert_eq!(&query_batch(&dynamic, &seeds), &reference);
         for &s in &seeds {
-            prop_assert_eq!(&seq.query(s), &reference[seeds.iter().position(|&x| x == s).unwrap()]);
+            prop_assert_eq!(&query(&seq, s), &reference[seeds.iter().position(|&x| x == s).unwrap()]);
         }
     }
 
@@ -143,8 +157,8 @@ proptest! {
         prop_assert_eq!(yb_seq.data(), yb_par.data());
     }
 
-    /// Reordered dynamic engines accept old-id updates and keep
-    /// tracking the un-reordered engine across update batches.
+    /// Reordered dynamic services accept old-id updates and keep
+    /// tracking the un-reordered service across update batches.
     #[test]
     fn reordered_dynamic_updates_track_plain_engine(
         n in 12usize..50,
@@ -160,14 +174,15 @@ proptest! {
             EdgeUpdate::Insert(v % n as u32, u % n as u32),
             EdgeUpdate::Delete(u % n as u32, (u + 1) % n as u32),
         ];
-        let mut plain = QueryEngine::dynamic(DynamicGraph::new(g.clone()));
-        let mut reordered = QueryEngine::dynamic(DynamicGraph::new(g.clone()))
-            .with_reordering(STRATEGIES[pick]);
+        let plain = build(ServiceBuilder::dynamic(DynamicGraph::new(g.clone())));
+        let reordered = build(
+            ServiceBuilder::dynamic(DynamicGraph::new(g.clone())).reordering(STRATEGIES[pick]),
+        );
         let a = plain.apply_updates(&ups).unwrap();
         let b = reordered.apply_updates(&ups).unwrap();
-        prop_assert_eq!(a.delta.stats, b.delta.stats);
+        prop_assert_eq!(a.report.delta.stats, b.report.delta.stats);
         let seed = (n / 2) as NodeId;
-        let err = l1(&plain.query(seed), &reordered.query(seed));
+        let err = l1(&query(&plain, seed), &query(&reordered, seed));
         prop_assert!(err < TOL, "post-update drift {}", err);
     }
 }

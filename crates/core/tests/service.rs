@@ -2,17 +2,19 @@
 //!
 //! The stress test is the load-bearing one: N reader threads race a
 //! writer that publishes epochs, and every response must be **bitwise
-//! identical** to a single-threaded `QueryEngine` frozen at that
-//! response's epoch — readers may see an older epoch or a newer one,
-//! but never a blend of two. CI additionally runs this file under
+//! identical** to the TPA online phase (`TpaIndex::query_on`) over a
+//! `Transition` of the CSR frozen at that response's epoch — an
+//! independent reference that shares no serving code with the service.
+//! Readers may see an older epoch or a newer one, but never a blend of
+//! two. CI additionally runs this file under
 //! `--release` (more interleavings per second, and the kernels the
 //! threads race through are the optimized ones).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tpa_core::{
-    IndexStalenessPolicy, QueryEngine, QueryRequest, QueryResult, ServiceBuilder, TpaError,
-    TpaIndex, TpaParams,
+    IndexStalenessPolicy, QueryRequest, QueryResult, SeedSet, ServiceBuilder, TpaError, TpaIndex,
+    TpaParams, Transition,
 };
 use tpa_graph::gen::{lfr_lite, LfrConfig};
 use tpa_graph::{CsrGraph, DynamicGraph, EdgeUpdate, NodeId};
@@ -94,8 +96,8 @@ fn stress_batch(round: usize, n: usize) -> Vec<EdgeUpdate> {
 }
 
 /// Queries racing a publishing writer always see a bitwise-consistent
-/// epoch: scores match a frozen pre- or post-update engine, never a
-/// blend.
+/// epoch: scores match the online phase on a frozen pre- or post-update
+/// graph, never a blend.
 #[test]
 fn racing_readers_see_bitwise_consistent_epochs() {
     const READERS: usize = 3;
@@ -112,7 +114,7 @@ fn racing_readers_see_bitwise_consistent_epochs() {
             .build()
             .unwrap(),
     );
-    let index = Arc::new(service.snapshot().index().unwrap().clone());
+    let index = service.snapshot().index().unwrap().clone();
 
     // Readers sample (epoch, seed, scores) while the writer publishes.
     let done = Arc::new(AtomicBool::new(false));
@@ -160,12 +162,11 @@ fn racing_readers_see_bitwise_consistent_epochs() {
         frozen.push(replay.snapshot());
     }
     for (epoch, seed, scores) in &observations {
-        let engine =
-            QueryEngine::sequential(&frozen[*epoch as usize]).with_index(Arc::clone(&index));
+        let frozen = Transition::new(&frozen[*epoch as usize]);
         assert_eq!(
             scores,
-            &engine.query(*seed),
-            "epoch {epoch} seed {seed}: concurrent response is not the frozen engine's answer"
+            &index.query_on(&frozen, &SeedSet::single(*seed)),
+            "epoch {epoch} seed {seed}: concurrent response is not the frozen graph's answer"
         );
     }
 }
@@ -212,8 +213,9 @@ fn auto_refreshed_index_publishes_atomically() {
     let mut replay = DynamicGraph::new(g);
     replay.apply(&[EdgeUpdate::Insert(0, 249)]);
     let snap = replay.snapshot();
-    let fresh = QueryEngine::sequential(&snap).preprocess(params);
-    assert_eq!(service.query(42).unwrap(), fresh.query(42));
+    let fresh = TpaIndex::preprocess(&snap, params);
+    let want = fresh.query_on(&Transition::new(&snap), &SeedSet::single(42));
+    assert_eq!(service.query(42).unwrap(), want);
 }
 
 /// Cancellation safety under admission pressure: racing readers fire a

@@ -9,8 +9,8 @@
 //! 1. **Panic-freedom** (`panic-freedom`, `unchecked-index`): no
 //!    `unwrap()` / `expect(` / `panic!` / `unreachable!` / `todo!` /
 //!    `unimplemented!` and no unchecked slice indexing in the serving /
-//!    kernel files (`service.rs`, `engine.rs`, `admission.rs`,
-//!    `cpi.rs`, `frontier.rs`, `patch.rs`, `topk.rs`, `batch.rs`).
+//!    kernel files (`service.rs`, `admission.rs`, `cpi.rs`,
+//!    `frontier.rs`, `patch.rs`, `topk.rs`, `batch.rs`).
 //! 2. **Atomic-ordering discipline** (`atomic-ordering`): every
 //!    `Ordering::{Relaxed, Acquire, Release, AcqRel, SeqCst}` site must
 //!    carry a `// ord:` justification comment naming the happens-before
@@ -110,7 +110,6 @@ impl Config {
         Config {
             panic_paths: vec![
                 "core/src/service.rs",
-                "core/src/engine.rs",
                 "core/src/admission.rs",
                 "core/src/cpi.rs",
                 "core/src/frontier.rs",

@@ -10,16 +10,18 @@
 //!   [`tpa::RwrService::apply_updates`]; each batch atomically
 //!   publishes the next epoch.
 //! * **Verification**: afterwards, every `(epoch, seed, scores)`
-//!   observation collected by the readers is replayed against a
-//!   single-threaded [`tpa::QueryEngine`] frozen at that epoch's graph.
-//!   Every observation must be **bit-identical** to the frozen engine —
-//!   a reader can never see a blend of two epochs.
+//!   observation collected by the readers is replayed against the TPA
+//!   online phase ([`tpa::TpaIndex::query_on`]) over the CSR frozen at
+//!   that epoch. Every observation must be **bit-identical** to the
+//!   frozen answer — a reader can never see a blend of two epochs.
 //!
 //! Run with: `cargo run --release --example concurrent_serving`
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use tpa::{IndexStalenessPolicy, QueryEngine, QueryRequest, ServiceBuilder, TpaIndex, TpaParams};
+use tpa::{
+    IndexStalenessPolicy, QueryRequest, SeedSet, ServiceBuilder, TpaIndex, TpaParams, Transition,
+};
 use tpa_graph::{DynamicGraph, EdgeUpdate, NodeId};
 
 const READERS: usize = 4;
@@ -49,12 +51,12 @@ fn main() {
         ServiceBuilder::dynamic(DynamicGraph::new(graph.clone()))
             .preprocess(params)
             // Keep the same index across all epochs (no auto refresh) so
-            // the per-epoch reference engines are easy to reconstruct.
+            // the per-epoch references are easy to reconstruct.
             .staleness(IndexStalenessPolicy { threshold: f64::INFINITY, auto_refresh: false })
             .build()
             .expect("valid serving configuration"),
     );
-    let index: Arc<TpaIndex> = Arc::new(service.snapshot().index().unwrap().clone());
+    let index: TpaIndex = service.snapshot().index().unwrap().clone();
 
     // Readers record (epoch, seed, scores) observations while the writer
     // publishes; `done` drains them once the update stream ends.
@@ -105,8 +107,8 @@ fn main() {
     );
 
     // Rebuild every epoch's frozen graph by replaying the same batches,
-    // and check each observation bitwise against a single-threaded
-    // QueryEngine over that frozen state.
+    // and check each observation bitwise against the online phase over
+    // that frozen state.
     let mut replay = DynamicGraph::new(graph);
     let mut frozen: Vec<tpa_graph::CsrGraph> = vec![replay.snapshot()];
     for round in 0..BATCHES {
@@ -118,20 +120,19 @@ fn main() {
     checked_epochs.dedup();
     let mut verified = 0usize;
     for &epoch in &checked_epochs {
-        let engine =
-            QueryEngine::sequential(&frozen[epoch as usize]).with_index(Arc::clone(&index));
+        let transition = Transition::new(&frozen[epoch as usize]);
         for (e, seed, scores) in observations.iter().filter(|(e, _, _)| *e == epoch) {
-            let reference = engine.query(*seed);
+            let reference = index.query_on(&transition, &SeedSet::single(*seed));
             assert_eq!(
                 scores, &reference,
-                "epoch {e} seed {seed}: concurrent response diverged from the frozen engine"
+                "epoch {e} seed {seed}: concurrent response diverged from the frozen graph"
             );
             verified += 1;
         }
     }
     println!(
         "verified {verified} observations across {} distinct epochs: every response bit-identical \
-         to a frozen single-threaded QueryEngine",
+         to the online phase on the frozen graph",
         checked_epochs.len()
     );
     assert!(

@@ -9,19 +9,19 @@
 //!    every update batch — each [`tpa::RwrService::apply_updates`] call
 //!    atomically publishes a new snapshot **epoch**, so readers are
 //!    never blocked and never see a half-applied batch.
-//! 2. A [`tpa::ScoreCache`] over a mirror [`tpa::DynamicTransition`]
-//!    maintains one power user's *exact* scores across batches by OSP
-//!    offset propagation (the maintenance layer *below* the service),
-//!    and we compare its cost and accuracy against recomputing from
-//!    scratch each time.
+//! 2. The service's score cache ([`tpa::ServiceBuilder::score_cache`])
+//!    pins one power user's *exact* scores and keeps them current at
+//!    every publish by OSP offset propagation; exact requests for that
+//!    user are answered straight from the cache
+//!    ([`tpa::QueryResponse::cached`]). We compare the cost and accuracy
+//!    against rebuilding the graph and recomputing from scratch.
 //! 3. The service tracks accumulated operator drift and re-preprocesses
 //!    the TPA index only when it goes stale.
 //!
 //! Run with: `cargo run --release --example streaming_recommendations`
 
 use tpa::{
-    CpiConfig, DynamicTransition, IndexStalenessPolicy, MaintenanceMode, QueryRequest, ScoreCache,
-    ServiceBuilder, TpaParams,
+    CpiConfig, IndexStalenessPolicy, MaintenanceMode, QueryRequest, ServiceBuilder, TpaParams,
 };
 use tpa_graph::{DynamicGraph, EdgeUpdate, NodeId};
 
@@ -33,72 +33,59 @@ fn main() {
     let n = graph.n();
     println!("social graph: {} users, {} follow edges", n, graph.m());
 
-    // Dynamic service: overlay writer + TPA index + staleness tracking,
-    // all configured in one builder.
+    // The user we keep serving while the graph churns.
+    let user: NodeId = 42 % n as NodeId;
+
+    // Dynamic service: overlay writer + TPA index + staleness tracking +
+    // the user's maintained exact scores, all configured in one builder.
     let service = ServiceBuilder::dynamic(DynamicGraph::new(graph.clone()))
         .preprocess(TpaParams::new(spec.s, spec.t))
         .staleness(IndexStalenessPolicy { threshold: 0.02, auto_refresh: true })
+        .score_cache([user], MaintenanceMode::Exact)
         .build()
         .expect("valid serving configuration");
 
-    // The user we keep serving while the graph churns.
-    let user: NodeId = 42 % n as NodeId;
     let before = service.top_k(user, 5).unwrap();
     println!("\ninitial recommendations for user {user} (epoch {}):", service.epoch());
     for &(v, s) in &before {
         println!("  @node{v:<8} score {s:.6}");
     }
 
-    // Maintain the user's *exact* scores incrementally on a mirror
-    // overlay (the service keeps its own writer-side overlay private;
-    // the mirror sees the identical update stream, so its operator —
-    // and therefore the OSP offsets — match the served graph exactly).
+    // The naive alternative keeps its own copy of the graph, rebuilds a
+    // CSR after every batch and recomputes the user's scores from
+    // scratch. Its graph also drives the synthetic follow stream: each
+    // round users follow "friends of friends" and drop a stale follow —
+    // deterministic, no RNG needed.
     let cfg = CpiConfig::default();
-    let mut mirror = DynamicTransition::new(DynamicGraph::new(graph));
-    let mut cache = ScoreCache::new(cfg, MaintenanceMode::Exact);
-    cache.warm(&mirror, &[user]);
-
-    // Synthetic follow stream: each round users follow "friends of
-    // friends" and drop a stale follow — deterministic, no RNG needed.
-    // The incremental-vs-rebuild comparison is about the *maintenance*
-    // layer (overlay patch + OSP offset propagation), so only the
-    // mirror's costs count toward it; the service's epoch publish (an
-    // O(n+m) snapshot rebuild, sometimes plus an index re-preprocess) is
-    // timed and reported separately.
-    let mut incremental_total = 0.0f64;
-    let mut rebuild_total = 0.0f64;
+    let mut naive = DynamicGraph::new(graph);
     let mut publish_total = 0.0f64;
+    let mut rebuild_total = 0.0f64;
+    let mut index_refreshes = 0usize;
     for round in 0u32..5 {
-        let batch = follow_batch(&mirror, round, n);
+        let batch = follow_batch(&naive, round, n);
+        // One publish applies the batch and refreshes the cached lane.
         let (outcome, dt_publish) = tpa_eval::time(|| service.apply_updates(&batch).unwrap());
         publish_total += dt_publish.as_secs_f64();
-        let (stats, dt_refresh) = tpa_eval::time(|| {
-            let delta = mirror.apply(&batch);
-            cache.refresh(&mirror, &delta)
-        });
-        incremental_total += dt_refresh.as_secs_f64();
+        index_refreshes += outcome.report.index_refreshed as usize;
+        let hot = service.submit(&QueryRequest::single(user).exact()).unwrap();
+        assert!(hot.cached, "the pinned user must be answered from the cache");
+        let maintained = hot.result.into_scores().pop().unwrap();
 
-        // The cost of the naive alternative: rebuild the CSR from the
-        // merged view and recompute the user's scores from scratch.
         let (fresh, dt_rebuild) = tpa_eval::time(|| {
-            let snapshot = mirror.graph().snapshot();
-            tpa::exact_rwr(&snapshot, user, &cfg)
+            naive.apply(&batch);
+            tpa::exact_rwr(&naive.snapshot(), user, &cfg)
         });
         rebuild_total += dt_rebuild.as_secs_f64();
 
-        let drift: f64 =
-            cache.scores(user).unwrap().iter().zip(&fresh).map(|(a, b)| (a - b).abs()).sum();
+        let drift: f64 = maintained.iter().zip(&fresh).map(|(a, b)| (a - b).abs()).sum();
         println!(
-            "\nepoch {}: {}+{} edges changed, offset iters {}, \
-             incremental {} vs rebuild+requery {} (epoch publish {}, exact-mode L1 drift \
-             {drift:.2e}){}",
+            "\nepoch {}: {}+{} edges changed, publish with lane refresh {} vs rebuild+requery {} \
+             (exact-mode L1 drift {drift:.2e}, served from cache){}",
             outcome.epoch,
             outcome.report.delta.stats.inserted,
             outcome.report.delta.stats.deleted,
-            stats.iterations,
-            tpa_eval::format_secs(dt_refresh.as_secs_f64()),
-            tpa_eval::format_secs(dt_rebuild.as_secs_f64()),
             tpa_eval::format_secs(dt_publish.as_secs_f64()),
+            tpa_eval::format_secs(dt_rebuild.as_secs_f64()),
             if outcome.report.index_refreshed { " — index auto-refreshed" } else { "" }
         );
     }
@@ -110,27 +97,24 @@ fn main() {
     for &(v, s) in &after {
         println!("  @node{v:<8} score {s:.6}");
     }
-    // The served exact scores and the maintained cache agree.
-    let served_exact = service
-        .submit(&QueryRequest::single(user).exact())
-        .unwrap()
-        .result
-        .into_scores()
-        .pop()
-        .unwrap();
-    let cache_drift: f64 =
-        cache.scores(user).unwrap().iter().zip(&served_exact).map(|(a, b)| (a - b).abs()).sum();
+    // The maintained lane agrees with a cold exact run on the served
+    // graph (a per-request epsilon bypasses the cache).
+    let cached = service.submit(&QueryRequest::single(user).exact()).unwrap();
+    let cold = service.submit(&QueryRequest::single(user).exact().with_epsilon(cfg.eps)).unwrap();
+    assert!(cached.cached && !cold.cached);
+    let cached = cached.result.into_scores().pop().unwrap();
+    let cold = cold.result.into_scores().pop().unwrap();
+    let cache_drift: f64 = cached.iter().zip(&cold).map(|(a, b)| (a - b).abs()).sum();
     println!(
-        "\ntotals: incremental maintenance {} vs rebuild-and-requery {} ({:.1}x); service \
-         epoch publishes {}",
-        tpa_eval::format_secs(incremental_total),
-        tpa_eval::format_secs(rebuild_total),
-        rebuild_total / incremental_total.max(1e-12),
+        "\ntotals: service publishes {} ({index_refreshes} with an index re-preprocess) vs \
+         rebuild-and-requery {} ({:.1}x)",
         tpa_eval::format_secs(publish_total),
+        tpa_eval::format_secs(rebuild_total),
+        rebuild_total / publish_total.max(1e-12),
     );
     println!(
-        "maintained cache vs served exact scores: L1 {cache_drift:.2e} · accumulated index \
-         drift {:.4} (stale: {})",
+        "maintained cache vs cold exact scores: L1 {cache_drift:.2e} · accumulated index drift \
+         {:.4} (stale: {})",
         service.accumulated_drift(),
         service.index_stale()
     );
@@ -139,8 +123,7 @@ fn main() {
 
 /// Deterministic per-round batch: a handful of new follows between
 /// second-hop neighbors of a rotating pivot, plus one unfollow.
-fn follow_batch(t: &DynamicTransition, round: u32, n: usize) -> Vec<EdgeUpdate> {
-    let g = t.graph();
+fn follow_batch(g: &DynamicGraph, round: u32, n: usize) -> Vec<EdgeUpdate> {
     let mut batch = Vec::new();
     let pivot = ((round as usize * 7919 + 13) % n) as NodeId;
     let hops: Vec<NodeId> = g.out_neighbors(pivot).take(4).collect();
