@@ -6,7 +6,7 @@
 //! exact decomposition at every candidate T via cumulative-sum snapshots.
 
 use tpa_bench::harness::{load_dataset, query_seeds, results_dir};
-use tpa_core::{cpi_trace, CpiConfig, SeedSet, Transition};
+use tpa_core::{cpi_trace_policy, CpiConfig, FrontierPolicy, SeedSet, Transition};
 use tpa_eval::{metrics, Stats, Table};
 
 const S: usize = 5;
@@ -25,7 +25,7 @@ fn snapshots(transition: &Transition<'_>, seeds: &SeedSet, cfg: &CpiConfig) -> T
     let mut cum = vec![0.0f64; n];
     let mut at_s = vec![0.0f64; n];
     let mut at_t: Vec<Vec<f64>> = vec![Vec::new(); T_SET.len()];
-    cpi_trace(transition, seeds, cfg, 0, None, |i, x| {
+    cpi_trace_policy(transition, seeds, cfg, 0, None, FrontierPolicy::Auto, |i, x| {
         if i == S {
             at_s = cum.clone();
         }

@@ -9,11 +9,11 @@
 //! The block step is a [`Propagator`] method
 //! ([`Propagator::propagate_block_into`]), so [`cpi_batch`] and
 //! [`TpaIndex::query_batch_on`] run unchanged over the sequential
-//! [`Transition`], the multi-threaded [`crate::ParallelTransition`], and
+//! [`crate::Transition`], the multi-threaded [`crate::ParallelTransition`], and
 //! the out-of-core [`crate::offcore::DiskGraph`] — each with its own
 //! fused kernel.
 
-use crate::{Propagator, TpaIndex, Transition};
+use crate::{Propagator, TpaIndex};
 use tpa_graph::NodeId;
 
 /// A block of `B` interleaved score vectors (`lane j` of node `v` lives at
@@ -105,17 +105,6 @@ impl ScoreBlock {
     }
 }
 
-/// One batched propagation step `Y ← coeff·Ãᵀ·X` over all lanes, on any
-/// backend (dispatches to the backend's fused block kernel).
-pub fn propagate_block<P: Propagator + ?Sized>(
-    t: &P,
-    coeff: f64,
-    x: &ScoreBlock,
-    y: &mut ScoreBlock,
-) {
-    t.propagate_block_into(coeff, x, y);
-}
-
 /// Batched CPI over a window (one lane per seed); mirrors [`crate::cpi`]
 /// but shares every edge traversal across the batch. Runs on any
 /// [`Propagator`] backend.
@@ -155,48 +144,58 @@ pub(crate) fn cpi_batch_guarded<P: Propagator + ?Sized>(
     let mut next = ScoreBlock::zeros(n, lanes);
     let mut acc = ScoreBlock::zeros(n, lanes);
 
-    // One fused pass per iteration accumulates the window sum *and* the
-    // stopping residual — the blocks are the working set, so every
-    // avoided re-stream matters at serving batch widths.
-    // All lanes share ‖x(i)‖₁ = c(1−c)^i, so one residual drives them all.
-    let accumulate = |acc: &mut ScoreBlock, x: &ScoreBlock| -> f64 {
-        let mut norm = 0.0;
-        for (a, &b) in acc.data.iter_mut().zip(&x.data) {
-            *a += b;
-            norm += b.abs();
-        }
-        norm / x.lanes as f64
-    };
-    let mut residual = if start == 0 {
-        accumulate(&mut acc, &x)
-    } else {
-        x.data.iter().map(|v| v.abs()).sum::<f64>() / lanes as f64
-    };
-    let hard_end = end.unwrap_or(usize::MAX);
+    // Lanes stop one by one: lane `j` adds `x(i)` while its single run
+    // would, i.e. until its own `‖x(i)‖₁` drops below ε. Mass leaking
+    // at dangling nodes gives every lane its own decay, so no shared
+    // residual can stand in for them.
+    let mut live = vec![true; lanes];
     let mut i = 0usize;
-    while residual >= cfg.eps && i < hard_end && i < cfg.max_iters && !stop() {
+    accumulate_live(&mut acc, &x, &mut live, start == 0, cfg.eps);
+    let hard_end = end.unwrap_or(usize::MAX);
+    while live.contains(&true) && i < hard_end && i < cfg.max_iters && !stop() {
         i += 1;
         t.propagate_block_into(1.0 - cfg.c, &x, &mut next);
         std::mem::swap(&mut x.data, &mut next.data);
-        residual = if i >= start {
-            accumulate(&mut acc, &x)
-        } else {
-            x.data.iter().map(|v| v.abs()).sum::<f64>() / lanes as f64
-        };
+        accumulate_live(&mut acc, &x, &mut live, i >= start, cfg.eps);
     }
     acc
 }
 
-impl TpaIndex {
-    /// **Algorithm 3, batched**: answers every seed in one family-sweep.
-    /// Bitwise identical to calling [`TpaIndex::query`] per seed, with one
-    /// edge pass per CPI iteration instead of `seeds.len()`.
-    pub fn query_batch(&self, t: &Transition<'_>, seeds: &[NodeId]) -> Vec<Vec<f64>> {
-        self.query_batch_on(t, seeds)
+/// One fused pass over an iterate block: adds each live lane into the
+/// window sum (when `add`) and folds every lane's `‖x(i)‖₁` in the
+/// blocked-canonical association ([`crate::gather::blocked_norm`] per
+/// lane), then retires the lanes whose residual fell below `eps` — the
+/// same comparison, on the same bits, that stops the lane's single run.
+fn accumulate_live(acc: &mut ScoreBlock, x: &ScoreBlock, live: &mut [bool], add: bool, eps: f64) {
+    let lanes = x.lanes;
+    let span = crate::gather::NORM_BLOCK * lanes;
+    let mut norm = vec![0.0f64; lanes];
+    let mut part = vec![0.0f64; lanes];
+    for (acc_block, x_block) in acc.data.chunks_mut(span).zip(x.data.chunks(span)) {
+        part.fill(0.0);
+        for (acc_row, x_row) in acc_block.chunks_exact_mut(lanes).zip(x_block.chunks_exact(lanes)) {
+            for (((a, &v), p), &l) in acc_row.iter_mut().zip(x_row).zip(&mut part).zip(&*live) {
+                if add && l {
+                    *a += v;
+                }
+                *p += v.abs();
+            }
+        }
+        for (r, &p) in norm.iter_mut().zip(&part) {
+            *r += p;
+        }
     }
+    for (l, &r) in live.iter_mut().zip(&norm) {
+        *l &= r >= eps;
+    }
+}
 
-    /// [`TpaIndex::query_batch`] over any propagation backend (parallel,
-    /// out-of-core, …) via its fused block kernel.
+impl TpaIndex {
+    /// **Algorithm 3, batched**: answers every seed in one family sweep
+    /// over any propagation backend (parallel, out-of-core, …) via its
+    /// fused block kernel. Bitwise identical to calling
+    /// [`TpaIndex::query_on`] per seed, with one edge pass per CPI
+    /// iteration instead of `seeds.len()`.
     pub fn query_batch_on<P: Propagator + ?Sized>(&self, t: &P, seeds: &[NodeId]) -> Vec<Vec<f64>> {
         // Same admission guard as the scalar paths, rendered through
         // [`crate::TpaError`] so the message is uniform everywhere.
@@ -206,15 +205,14 @@ impl TpaIndex {
         let family = cpi_batch(t, seeds, &params.cpi_config(), 0, Some(params.s - 1));
         let scale = params.neighbor_scale();
         // Single row-major pass: unpack each family row and fold in the
-        // neighbor rescale + stranger term lane by lane.
+        // neighbor rescale + stranger term lane by lane, in the scalar
+        // finish's association.
         let lanes = seeds.len();
         let n = family.n();
         let mut out: Vec<Vec<f64>> = (0..lanes).map(|_| vec![0.0; n]).collect();
         for (v, (row, &st)) in family.data.chunks_exact(lanes).zip(self.stranger()).enumerate() {
             for (o, &f) in out.iter_mut().zip(row) {
-                // Same association as the scalar path's `r += scale·r + s`
-                // (bitwise-identical results require identical rounding).
-                o[v] = f + (scale * f + st);
+                o[v] = crate::tpa::finish_one(scale, f, st);
             }
         }
         out
@@ -224,14 +222,38 @@ impl TpaIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{cpi, CpiConfig, ParallelTransition, SeedSet, TpaParams};
+    use crate::{cpi, CpiConfig, ParallelTransition, SeedSet, TpaParams, Transition};
     use tpa_graph::gen::{lfr_lite, LfrConfig};
-    use tpa_graph::CsrGraph;
+    use tpa_graph::{CsrGraph, DanglingPolicy, GraphBuilder};
 
     fn test_graph() -> CsrGraph {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(97);
         lfr_lite(LfrConfig { n: 300, m: 2400, ..Default::default() }, &mut rng).graph
+    }
+
+    /// A 10-cycle beside a chain `10→…→30` whose every node also points
+    /// to the dangling sink 39: mass leaks at the sink, so a chain seed's
+    /// residual decays far faster than a cycle seed's.
+    fn leaky_graph() -> CsrGraph {
+        let mut edges: Vec<(NodeId, NodeId)> = (0..10).map(|v| (v, (v + 1) % 10)).collect();
+        edges.extend((10..30).map(|v| (v, v + 1)));
+        edges.extend((10..=30).map(|v| (v, 39)));
+        GraphBuilder::new(40).dangling_policy(DanglingPolicy::Keep).extend_edges(edges).build()
+    }
+
+    #[test]
+    fn leaky_lanes_stop_at_their_own_convergence() {
+        let g = leaky_graph();
+        let t = Transition::new(&g);
+        let cfg = CpiConfig::default();
+        let seeds = [0u32, 10];
+        let block = cpi_batch(&t, &seeds, &cfg, 0, None);
+        for (j, &s) in seeds.iter().enumerate() {
+            let single = cpi(&t, &SeedSet::single(s), &cfg, 0, None).scores;
+            let lane = block.lane(j);
+            assert!(lane.iter().zip(&single).all(|(a, b)| a.to_bits() == b.to_bits()), "seed {s}");
+        }
     }
 
     #[test]
@@ -287,7 +309,7 @@ mod tests {
         let t = Transition::new(&g);
         let index = TpaIndex::preprocess(&g, TpaParams::new(5, 10));
         let seeds = [0u32, 7, 42, 299];
-        let batch = index.query_batch(&t, &seeds);
+        let batch = index.query_batch_on(&t, &seeds);
         for (j, &s) in seeds.iter().enumerate() {
             assert_eq!(batch[j], index.query(&t, s), "seed {s}");
         }
@@ -298,7 +320,7 @@ mod tests {
         let g = test_graph();
         let t = Transition::new(&g);
         let index = TpaIndex::preprocess(&g, TpaParams::new(4, 9));
-        assert_eq!(index.query_batch(&t, &[11])[0], index.query(&t, 11));
+        assert_eq!(index.query_batch_on(&t, &[11])[0], index.query(&t, 11));
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub struct CpiResult {
 /// interim vector is supported on a small frontier run the backend's
 /// sparse kernel, and the run latches onto the dense kernels once the
 /// frontier saturates. Any policy is bitwise invisible — use
-/// [`cpi_policy`] to force one.
+/// [`cpi_trace_policy`] to force one.
 pub fn cpi<P: Propagator + ?Sized>(
     transition: &P,
     seeds: &SeedSet,
@@ -98,44 +98,19 @@ pub fn cpi<P: Propagator + ?Sized>(
     start: usize,
     end: Option<usize>,
 ) -> CpiResult {
-    cpi_trace(transition, seeds, cfg, start, end, |_, _| {})
+    cpi_trace_policy(transition, seeds, cfg, start, end, FrontierPolicy::Auto, |_, _| {})
 }
 
-/// [`cpi`] with an explicit [`FrontierPolicy`] (forced dense, forced
-/// sparse, or the default direction-optimizing `Auto`). All policies
-/// produce bitwise-identical results on every backend; only the memory
-/// traffic differs.
-pub fn cpi_policy<P: Propagator + ?Sized>(
-    transition: &P,
-    seeds: &SeedSet,
-    cfg: &CpiConfig,
-    start: usize,
-    end: Option<usize>,
-    policy: FrontierPolicy,
-) -> CpiResult {
-    cpi_trace_policy(transition, seeds, cfg, start, end, policy, |_, _| {})
-}
-
-/// [`cpi`] with a per-iteration callback receiving `(i, x(i))` for every
-/// interim vector computed — the hook the decomposition experiments
-/// (Table III, Fig. 9) use to capture the family/neighbor/stranger split.
-pub fn cpi_trace<P: Propagator + ?Sized>(
-    transition: &P,
-    seeds: &SeedSet,
-    cfg: &CpiConfig,
-    start: usize,
-    end: Option<usize>,
-    on_iteration: impl FnMut(usize, &[f64]),
-) -> CpiResult {
-    cpi_trace_policy(transition, seeds, cfg, start, end, FrontierPolicy::Auto, on_iteration)
-}
-
-/// [`cpi_trace`] with an explicit [`FrontierPolicy`]. The direction
-/// decision is made here, per iteration, from the backend's
+/// [`cpi`] with an explicit [`FrontierPolicy`] and a per-iteration
+/// callback receiving `(i, x(i))` for every interim vector computed —
+/// the hook the decomposition experiments (Table III, Fig. 9) use to
+/// capture the family/neighbor/stranger split. All policies produce
+/// bitwise-identical results on every backend; only the memory traffic
+/// differs. The direction is decided per iteration from the backend's
 /// [`Propagator::frontier_work`] probe:
 ///
-/// * `Dense` — every iteration runs `propagate_into_norm` (the
-///   pre-frontier behavior, with the residual folded inside the kernel).
+/// * `Dense` — every iteration runs `propagate_into_norm` (the residual
+///   folded inside the kernel).
 /// * `Sparse` — every iteration runs `propagate_frontier`, however large
 ///   the frontier grows.
 /// * `Auto` — sparse while (a) the backend has a sparse path, (b) the
@@ -156,34 +131,58 @@ pub fn cpi_trace_policy<P: Propagator + ?Sized>(
     start: usize,
     end: Option<usize>,
     policy: FrontierPolicy,
-    on_iteration: impl FnMut(usize, &[f64]),
+    mut on_iteration: impl FnMut(usize, &[f64]),
 ) -> CpiResult {
-    cpi_sweep_policy(transition, seeds, cfg, start, end, policy, on_iteration, |_| false)
+    cpi_probed(transition, seeds, cfg, start, end, policy, |p| {
+        on_iteration(p.i, p.iterate);
+        false
+    })
 }
 
-/// [`cpi_policy`] with an admission guard riding the sweep: the guard's
-/// probe is consulted after every accumulated iteration — exactly the
-/// hook the bounded top-k checker uses — so a cancelled or
-/// deadline-expired request stops at the next iteration boundary
-/// instead of running its sweep to completion. A tripped guard surfaces
-/// as `converged: false`; the caller maps the trip to its typed error
-/// via `SweepGuard::abort_error` and discards the partial scores.
-pub(crate) fn cpi_guarded_policy<P: Propagator + ?Sized>(
+/// CPI from a seed set with an early-stop probe: `x(0) = c·q` swept by
+/// [`cpi_sweep_policy`] into a fresh score vector, recorded as one CPI
+/// run in the kernel profile. The admission guard and the bounded top-k
+/// checker ride `stop`; a stopped run reports `converged: false`, and
+/// the caller that requested the stop knows why the loop ended.
+pub(crate) fn cpi_probed<P: Propagator + ?Sized>(
     transition: &P,
     seeds: &SeedSet,
     cfg: &CpiConfig,
     start: usize,
     end: Option<usize>,
     policy: FrontierPolicy,
-    guard: &crate::admission::SweepGuard,
+    stop: impl FnMut(SweepProbe<'_>) -> bool,
 ) -> CpiResult {
-    cpi_sweep_policy(transition, seeds, cfg, start, end, policy, |_, _| {}, |_| guard.probe())
+    let n = transition.n();
+    let mut x = vec![0.0f64; n];
+    seeds.fill_seed_vector(cfg.c, &mut x);
+    let mut scores = vec![0.0f64; n];
+    let run = cpi_sweep_policy(
+        transition,
+        x,
+        seeds.support(),
+        &mut scores,
+        cfg,
+        start,
+        end,
+        policy,
+        stop,
+    );
+    if let Some(tally) = run.tally {
+        crate::profiling::record_cpi_run(tally);
+    }
+    CpiResult {
+        scores,
+        last_iteration: run.last_iteration,
+        final_residual: run.final_residual,
+        converged: run.converged,
+    }
 }
 
-/// Point-in-time view of a CPI sweep handed to an early-stop probe after
-/// each accumulated iteration (see [`cpi_sweep_policy`]).
+/// Point-in-time view of a CPI sweep handed to the probe after each
+/// interim vector (see [`cpi_sweep_policy`]).
 pub(crate) struct SweepProbe<'a> {
-    /// Iteration index of the interim vector just accumulated.
+    /// Iteration index of the interim vector just computed.
     pub i: usize,
     /// Accumulated window sum so far — every node's score lower bound.
     pub scores: &'a [f64],
@@ -200,58 +199,69 @@ pub(crate) struct SweepProbe<'a> {
     pub support: Option<&'a [NodeId]>,
 }
 
-/// [`cpi_trace_policy`] plus an early-stop probe: `stop` is called after
-/// every accumulated iteration (`i ≥ start`, including iteration 0) and
-/// returning `true` ends the sweep immediately. The bounded top-k path
-/// rides this hook to terminate once its bound proof fires; the public
-/// entry points delegate with a never-stop probe, so the shared loop
-/// stays the single source of truth for bitwise behavior.
+/// How a [`cpi_sweep_policy`] run ended.
+pub(crate) struct SweepEnd {
+    /// Index of the last iteration whose interim vector was computed.
+    pub last_iteration: usize,
+    /// `‖x(last)‖₁` at exit.
+    pub final_residual: f64,
+    /// True if the ε-criterion ended the run.
+    pub converged: bool,
+    /// The run's kernel tallies, when profiling was enabled at its
+    /// start; the caller records them under its own counters.
+    pub tally: Option<crate::profiling::RunTally>,
+}
+
+/// The one CPI sweep loop: `x(i) = (1−c)·Ãᵀ·x(i−1)` from the interim
+/// vector `x0`, adding `x(i)` into `scores` for `start ≤ i ≤ end` until
+/// `‖x(i)‖₁ < cfg.eps`. CPI seeds it with `c·q`; OSP offset propagation
+/// ([`crate::dynamic`]) with the offset seed `b`. `support` is the
+/// ascending support of `x0` when known (`None` ⇒ every node).
 ///
-/// An early-stopped run reports `converged: false` — the caller that
-/// requested the stop knows why the loop ended.
+/// `stop` sees every interim vector, including `x(0)`, after its
+/// accumulation; returning `true` ends the sweep (`converged: false`).
+/// Each iteration runs dense or sparse as [`cpi_trace_policy`]
+/// documents, with "seed support" read as `support`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn cpi_sweep_policy<P: Propagator + ?Sized>(
     transition: &P,
-    seeds: &SeedSet,
+    x0: Vec<f64>,
+    support: Option<Vec<NodeId>>,
+    scores: &mut [f64],
     cfg: &CpiConfig,
     start: usize,
     end: Option<usize>,
     policy: FrontierPolicy,
-    mut on_iteration: impl FnMut(usize, &[f64]),
     mut stop: impl FnMut(SweepProbe<'_>) -> bool,
-) -> CpiResult {
+) -> SweepEnd {
     cfg.validate();
     if let Some(e) = end {
         assert!(start <= e, "empty CPI window: start {start} > end {e}");
     }
     let n = transition.n();
-    let mut x = vec![0.0f64; n];
-    seeds.fill_seed_vector(cfg.c, &mut x);
+    let mut x = x0;
     let mut next = vec![0.0f64; n];
-    let mut scores = vec![0.0f64; n];
 
     // Sparse-mode state: the support of `x` (`active`), the stale
     // support still written in the `next` buffer, and the kernel
-    // workspace. `Auto` without a known seed support (or a backend
-    // without a sparse path) starts — and therefore stays — dense.
+    // workspace. `Auto` without a known support (or a backend without a
+    // sparse path) starts — and therefore stays — dense.
     let mut sparse = match policy {
         FrontierPolicy::Dense => false,
         FrontierPolicy::Sparse => true,
-        FrontierPolicy::Auto => {
-            seeds.support().is_some() && transition.frontier_work(&[]).is_some()
-        }
+        FrontierPolicy::Auto => support.is_some() && transition.frontier_work(&[]).is_some(),
     };
     let mut active: Vec<NodeId> = Vec::new();
     let mut stale: Vec<NodeId> = Vec::new();
     let mut scratch = None;
     let mut cumulative_work = 0usize;
     if sparse {
-        active = seeds.support().unwrap_or_else(|| (0..n as NodeId).collect());
+        active = support.unwrap_or_else(|| (0..n as NodeId).collect());
         scratch = Some(FrontierScratch::new(n));
     }
-    // Profiling accumulates into locals (pure register traffic) and
-    // flushes once at the end; disabled, the only cost is one relaxed
-    // bool load here.
+    // Profiling accumulates into locals (pure register traffic) and the
+    // caller flushes once at the end; disabled, the only cost is one
+    // relaxed bool load here.
     let prof = crate::profiling::profiling_enabled();
     let mut tally = crate::profiling::RunTally::default();
     let dense_edges: u64 = if prof {
@@ -260,12 +270,11 @@ pub(crate) fn cpi_sweep_policy<P: Propagator + ?Sized>(
         0
     };
 
-    on_iteration(0, &x);
     if start == 0 {
         if sparse {
-            add_assign_support(&mut scores, &x, &active);
+            add_assign_support(scores, &x, &active);
         } else {
-            add_assign(&mut scores, &x);
+            add_assign(scores, &x);
         }
     }
 
@@ -273,14 +282,13 @@ pub(crate) fn cpi_sweep_policy<P: Propagator + ?Sized>(
     let mut residual = if sparse { l1_support(&x, &active) } else { l1(&x) };
     let mut converged = residual < cfg.eps;
     let hard_end = end.unwrap_or(usize::MAX);
-    let mut stopped = start == 0
-        && stop(SweepProbe {
-            i: 0,
-            scores: &scores,
-            iterate: &x,
-            residual,
-            support: if sparse { Some(&active) } else { None },
-        });
+    let mut stopped = stop(SweepProbe {
+        i: 0,
+        scores,
+        iterate: &x,
+        residual,
+        support: if sparse { Some(&active) } else { None },
+    });
 
     while !converged && !stopped && i < hard_end && i < cfg.max_iters {
         i += 1;
@@ -323,45 +331,38 @@ pub(crate) fn cpi_sweep_policy<P: Propagator + ?Sized>(
                     sparse = false;
                 }
             }
-            on_iteration(i, &x);
             if i >= start {
                 if sparse {
-                    add_assign_support(&mut scores, &x, &active);
+                    add_assign_support(scores, &x, &active);
                 } else {
-                    add_assign(&mut scores, &x);
+                    add_assign(scores, &x);
                 }
-                // `active` is the exact support of x(i) even after a
-                // gather bail: the fallback scan rebuilt it densely.
-                stopped = stop(SweepProbe {
-                    i,
-                    scores: &scores,
-                    iterate: &x,
-                    residual,
-                    support: Some(&active),
-                });
             }
+            // `active` is the exact support of x(i) even after a gather
+            // bail: the fallback scan rebuilt it densely.
+            stopped = stop(SweepProbe { i, scores, iterate: &x, residual, support: Some(&active) });
         } else {
             tally.dense_iterations += 1;
             tally.dense_edge_work += dense_edges;
             residual = transition.propagate_into_norm(1.0 - cfg.c, &x, &mut next);
             std::mem::swap(&mut x, &mut next);
-            on_iteration(i, &x);
             if i >= start {
-                add_assign(&mut scores, &x);
-                stopped =
-                    stop(SweepProbe { i, scores: &scores, iterate: &x, residual, support: None });
+                add_assign(scores, &x);
             }
+            stopped = stop(SweepProbe { i, scores, iterate: &x, residual, support: None });
         }
         if residual < cfg.eps {
             converged = true;
         }
     }
 
-    if prof {
-        tally.iterations = i as u64;
-        crate::profiling::record_cpi_run(tally);
+    tally.iterations = i as u64;
+    SweepEnd {
+        last_iteration: i,
+        final_residual: residual,
+        converged,
+        tally: prof.then_some(tally),
     }
-    CpiResult { scores, last_iteration: i, final_residual: residual, converged }
 }
 
 #[inline]
@@ -394,7 +395,7 @@ fn l1(x: &[f64]) -> f64 {
 /// `+0.0` partial (elided), and within a block the skipped terms are
 /// exact zeros.
 #[inline]
-pub(crate) fn l1_support(x: &[f64], active: &[NodeId]) -> f64 {
+fn l1_support(x: &[f64], active: &[NodeId]) -> f64 {
     let mut acc = 0.0f64;
     let mut i = 0usize;
     while i < active.len() {
@@ -480,9 +481,17 @@ mod tests {
         let t = Transition::new(&g);
         let cfg = CpiConfig::default();
         let mut norms = Vec::new();
-        cpi_trace(&t, &SeedSet::single(0), &cfg, 0, Some(10), |_, x| {
-            norms.push(x.iter().sum::<f64>());
-        });
+        cpi_trace_policy(
+            &t,
+            &SeedSet::single(0),
+            &cfg,
+            0,
+            Some(10),
+            FrontierPolicy::Auto,
+            |_, x| {
+                norms.push(x.iter().sum::<f64>());
+            },
+        );
         for (i, &norm) in norms.iter().enumerate() {
             let want = cfg.c * (1.0 - cfg.c).powi(i as i32);
             assert!((norm - want).abs() < 1e-12, "i={i}");
@@ -494,7 +503,16 @@ mod tests {
         let g = cycle_graph(4);
         let t = Transition::new(&g);
         let mut seen = Vec::new();
-        cpi_trace(&t, &SeedSet::single(0), &CpiConfig::default(), 0, Some(5), |i, _| seen.push(i));
+        let cfg = CpiConfig::default();
+        cpi_trace_policy(
+            &t,
+            &SeedSet::single(0),
+            &cfg,
+            0,
+            Some(5),
+            FrontierPolicy::Auto,
+            |i, _| seen.push(i),
+        );
         assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
     }
 

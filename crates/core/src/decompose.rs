@@ -5,7 +5,7 @@
 //! approximations deviate from each part. A single traced CPI run captures
 //! all three.
 
-use crate::{cpi_trace, CpiConfig, Propagator, SeedSet};
+use crate::{cpi_trace_policy, CpiConfig, FrontierPolicy, Propagator, SeedSet};
 
 /// The three exact parts of one CPI series at split points `S` and `T`.
 #[derive(Clone, Debug)]
@@ -46,7 +46,7 @@ pub fn decompose<P: Propagator + ?Sized>(
     let mut family = vec![0.0; n];
     let mut neighbor = vec![0.0; n];
     let mut stranger = vec![0.0; n];
-    let result = cpi_trace(transition, seeds, cfg, 0, None, |i, x| {
+    let result = cpi_trace_policy(transition, seeds, cfg, 0, None, FrontierPolicy::Auto, |i, x| {
         let acc = if i < s {
             &mut family
         } else if i < t {

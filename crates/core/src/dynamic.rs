@@ -27,8 +27,9 @@
 //!    adjacency changed, and `‖b‖₁` scales with the update batch — so
 //!    propagating the offset costs a few sparse-ish CPI iterations
 //!    instead of a full from-scratch rerun. The overlay builds `b`
-//!    ([`DynamicTransition::offset_seed_for`]); [`propagate_offset_policy`]
-//!    sweeps it through the published view. The service keeps its
+//!    ([`DynamicTransition::offset_seed_for`]), and the CPI sweep loop
+//!    itself propagates it through the published view, started from `b`
+//!    instead of `c·q`. The service keeps its
 //!    hot-seed score cache ([`crate::ServiceBuilder::score_cache`]) and
 //!    the index's stranger vector current this way, with an exact mode
 //!    (refresh to the CPI tolerance) and an approximate mode that drops
@@ -38,7 +39,7 @@
 //!    mass by at most `1/c`, and stopping once the residual falls below
 //!    `tolerance` leaves a tail of at most `tolerance·(1−c)/c` more.
 
-use crate::frontier::{FrontierPolicy, FrontierScratch, SPARSE_CUMULATIVE_BUDGET};
+use crate::frontier::FrontierPolicy;
 use crate::gather::{self, InAdjacency};
 use crate::{CpiConfig, Propagator};
 use std::collections::{HashMap, HashSet};
@@ -360,7 +361,7 @@ fn column_delta(
     mass
 }
 
-/// How [`propagate_offset_policy`] maintains a score vector.
+/// How offset propagation maintains a score vector.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum MaintenanceMode {
     /// Propagate the offset to the CPI tolerance: cached scores track a
@@ -388,18 +389,15 @@ pub struct RefreshStats {
 }
 
 /// Propagates an offset seed through the current operator, folding the
-/// correction `Δ = Σ_i ((1−c)Ãᵀ)^i·b` into `scores` in place. The offset
-/// seed is sparse by construction — supported only on the changed
-/// sources' out-neighborhoods — which is exactly the shape the
-/// sparse-frontier kernel was built for, so `Auto` routes the first
-/// Neumann iterations through [`Propagator::propagate_frontier`] and
-/// latches onto the dense kernels once the correction's support
-/// saturates (the same one-way switch [`crate::cpi`] uses). Every
-/// policy produces bitwise-identical scores and makes the same stopping
-/// decisions: sparse steps skip only exact-zero terms, and every
-/// residual — fused dense, per-worker partials, or reachable-set fold —
-/// uses the blocked-canonical association.
-pub fn propagate_offset_policy<P: Propagator + ?Sized>(
+/// correction `Δ = Σ_i ((1−c)Ãᵀ)^i·b` into `scores` in place. This is
+/// the CPI loop ([`crate::cpi::cpi_sweep_policy`]) started from `b`
+/// instead of `c·q`: the offset seed is sparse by construction —
+/// supported only on the changed sources' out-neighborhoods — so `Auto`
+/// routes the first Neumann iterations through the sparse-frontier
+/// kernel and latches dense once the correction's support saturates.
+/// Every policy produces bitwise-identical scores and makes the same
+/// stopping decisions.
+pub(crate) fn propagate_offset_policy<P: Propagator + ?Sized>(
     t: &P,
     mut offset: Vec<f64>,
     cfg: &CpiConfig,
@@ -416,7 +414,7 @@ pub fn propagate_offset_policy<P: Propagator + ?Sized>(
         ..RefreshStats::default()
     };
 
-    let stop_eps = match mode {
+    let eps = match mode {
         MaintenanceMode::Exact => cfg.eps,
         MaintenanceMode::Approximate { tolerance } => {
             assert!(tolerance > 0.0, "tolerance must be positive");
@@ -432,110 +430,25 @@ pub fn propagate_offset_policy<P: Propagator + ?Sized>(
             tolerance.max(cfg.eps)
         }
     };
-
-    // Neumann series: scores += b + (1−c)Ãᵀb + ((1−c)Ãᵀ)²b + …
-    // Sparse-mode state mirrors `cpi_trace_policy`: the support of `x`
-    // (`active`), the stale support still written in `next`, and the
-    // kernel workspace.
-    let mut x = offset;
-    let mut sparse = match policy {
-        FrontierPolicy::Dense => false,
-        FrontierPolicy::Sparse => true,
-        FrontierPolicy::Auto => t.frontier_work(&[]).is_some(),
-    };
-    let mut active: Vec<NodeId> = Vec::new();
-    let mut stale: Vec<NodeId> = Vec::new();
-    let mut scratch = None;
-    let mut cumulative_work = 0usize;
-    if sparse {
-        active = (0..n as NodeId).filter(|&v| x[v as usize] != 0.0).collect();
-        scratch = Some(FrontierScratch::new(n));
-    }
-
-    let mut residual =
-        if sparse { crate::cpi::l1_support(&x, &active) } else { gather::blocked_norm(&x) };
-    if residual == 0.0 {
+    if offset.iter().all(|&v| v == 0.0) {
         return stats;
     }
-    if sparse {
-        for &v in &active {
-            scores[v as usize] += x[v as usize];
-        }
-    } else {
-        for (s, &b) in scores.iter_mut().zip(&x) {
-            *s += b;
-        }
-    }
-    // Same flush-once profiling discipline as `cpi_trace_policy`: local
-    // tallies, one relaxed flush after the sweep, a single bool load
-    // when disabled.
-    let prof = crate::profiling::profiling_enabled();
-    let mut tally = crate::profiling::RunTally::default();
-    let dense_edges: u64 =
-        if prof { t.frontier_work(&[]).map(|w| w.total_edges as u64).unwrap_or(0) } else { 0 };
-    let mut next = vec![0.0f64; n];
-    while residual >= stop_eps && stats.iterations < cfg.max_iters {
-        stats.iterations += 1;
-        if sparse && policy == FrontierPolicy::Auto {
-            // Per-iteration direction decision (one-way: sparse → dense).
-            let keep = match t.frontier_work(&active) {
-                Some(w) => {
-                    w.prefers_sparse()
-                        && (cumulative_work as f64)
-                            < SPARSE_CUMULATIVE_BUDGET * w.total_edges as f64
-                }
-                None => false,
-            };
-            if !keep {
-                sparse = false;
-                tally.auto_dense_switches = 1;
-            }
-        }
-        if sparse {
-            tally.sparse_iterations += 1;
-            let scratch = scratch.as_mut().expect("sparse mode allocates its scratch");
-            // `next` still holds the interim vector from two steps ago:
-            // zero its stale support so the kernel's untouched entries
-            // are exact zeros.
-            for &v in &stale {
-                next[v as usize] = 0.0;
-            }
-            let step = t.propagate_frontier(1.0 - cfg.c, &x, &mut next, &active, scratch);
-            cumulative_work += step.edge_work;
-            tally.sparse_edge_work += step.edge_work as u64;
-            residual = step.residual;
-            std::mem::swap(&mut x, &mut next);
-            std::mem::swap(&mut active, &mut stale);
-            std::mem::swap(&mut active, scratch.next_active_mut());
-            if step.went_dense {
-                tally.gather_bails += 1;
-                if policy == FrontierPolicy::Auto {
-                    sparse = false;
-                }
-            }
-            if sparse {
-                // Support-only fold: `x` is zero off `active`, and
-                // adding an exact `0.0` is the identity.
-                for &v in &active {
-                    scores[v as usize] += x[v as usize];
-                }
-            } else {
-                for (s, &v) in scores.iter_mut().zip(&x) {
-                    *s += v;
-                }
-            }
-        } else {
-            tally.dense_iterations += 1;
-            tally.dense_edge_work += dense_edges;
-            residual = t.propagate_into_norm(1.0 - cfg.c, &x, &mut next);
-            std::mem::swap(&mut x, &mut next);
-            for (s, &v) in scores.iter_mut().zip(&x) {
-                *s += v;
-            }
-        }
-    }
-    if prof {
-        tally.iterations = stats.iterations as u64;
+    let support = (policy != FrontierPolicy::Dense)
+        .then(|| (0..n as NodeId).filter(|&v| offset[v as usize] != 0.0).collect());
+    // Neumann series: scores += b + (1−c)Ãᵀb + ((1−c)Ãᵀ)²b + …
+    let run = crate::cpi::cpi_sweep_policy(
+        t,
+        offset,
+        support,
+        scores,
+        &CpiConfig { eps, ..*cfg },
+        0,
+        None,
+        policy,
+        |_| false,
+    );
+    stats.iterations = run.last_iteration;
+    if let Some(tally) = run.tally {
         crate::profiling::record_offset_run(tally);
     }
     stats

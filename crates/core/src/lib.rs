@@ -7,8 +7,9 @@
 //! The crate implements the paper's computational model and contribution:
 //!
 //! * [`Transition`] — the row-normalized transition operator `Ãᵀ`.
-//! * [`cpi`] / [`cpi_trace`] — **Algorithm 1**, Cumulative Power Iteration,
-//!   with the `siter`/`titer` window TPA splits on.
+//! * [`cpi`] / [`cpi_trace_policy`] — **Algorithm 1**, Cumulative Power
+//!   Iteration, with the `siter`/`titer` window TPA splits on. The same
+//!   sweep loop propagates OSP offset seeds for the dynamic subsystem.
 //! * [`pagerank`], [`exact_rwr`], [`personalized_pagerank`] — CPI
 //!   instances differing only in the seed vector.
 //! * [`TpaIndex::preprocess`] — **Algorithm 2**, the stranger
@@ -96,12 +97,9 @@ pub use admission::{
     AdmissionConfig, CancelToken, DegradationLevel, FaultPlan, ShedConfig, ShedPolicy,
     DEGRADATION_LEVELS,
 };
-pub use cpi::{cpi, cpi_policy, cpi_trace, cpi_trace_policy, CpiConfig, CpiResult};
+pub use cpi::{cpi, cpi_trace_policy, CpiConfig, CpiResult};
 pub use decompose::{decompose, Decomposition};
-pub use dynamic::{
-    propagate_offset_policy, DynamicTransition, MaintenanceMode, RefreshStats, SourceDelta,
-    UpdateDelta,
-};
+pub use dynamic::{DynamicTransition, MaintenanceMode, RefreshStats, SourceDelta, UpdateDelta};
 pub use error::TpaError;
 pub use frontier::{FrontierPolicy, FrontierScratch, FrontierStep, FrontierWork};
 pub use metrics::{
@@ -119,6 +117,6 @@ pub use service::{
     DEFAULT_LANE_TILE,
 };
 pub use topk::TopKGuarantee;
-pub use tpa::{PreprocessStats, TpaIndex, TpaParams, TpaParts};
+pub use tpa::{PreprocessStats, TpaIndex, TpaParams};
 pub use transition::{Propagator, Transition};
 pub use weighted::WeightedTransition;

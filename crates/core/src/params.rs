@@ -8,7 +8,7 @@
 //! procedure the paper's authors imply when they "set T … to gain the best
 //! performance" per dataset (Table II).
 
-use crate::{decompose, CpiConfig, SeedSet, TpaParams, Transition};
+use crate::{decompose, CpiConfig, FrontierPolicy, SeedSet, TpaParams, Transition};
 use tpa_graph::{CsrGraph, NodeId};
 
 /// Error profile of one candidate `T`.
@@ -72,7 +72,8 @@ pub fn tune_t(
         let mut cum = vec![0.0f64; n];
         let mut at_s = vec![0.0f64; n];
         let mut at_t: Vec<Vec<f64>> = vec![Vec::new(); candidates.len()];
-        crate::cpi_trace(&transition, &SeedSet::single(seed), cfg, 0, None, |i, x| {
+        let seeds = SeedSet::single(seed);
+        crate::cpi_trace_policy(&transition, &seeds, cfg, 0, None, FrontierPolicy::Auto, |i, x| {
             if i == s {
                 at_s = cum.clone();
             }

@@ -216,7 +216,7 @@ impl Propagator for PatchedTransition {
 #[cfg(test)]
 mod tests {
     use crate::{
-        cpi, cpi_policy, CpiConfig, DynamicTransition, FrontierPolicy, SeedSet, Transition,
+        cpi, cpi_trace_policy, CpiConfig, DynamicTransition, FrontierPolicy, SeedSet, Transition,
     };
     use tpa_graph::gen::{lfr_lite, LfrConfig};
     use tpa_graph::{DynamicGraph, EdgeUpdate};
@@ -262,9 +262,10 @@ mod tests {
         let t = overlay();
         let p = t.publish_patched();
         let cfg = CpiConfig::default();
-        let dense = cpi_policy(&p, &SeedSet::single(7), &cfg, 0, None, FrontierPolicy::Dense);
+        let seeds = SeedSet::single(7);
+        let dense = cpi_trace_policy(&p, &seeds, &cfg, 0, None, FrontierPolicy::Dense, |_, _| {});
         for policy in [FrontierPolicy::Sparse, FrontierPolicy::Auto] {
-            let run = cpi_policy(&p, &SeedSet::single(7), &cfg, 0, None, policy);
+            let run = cpi_trace_policy(&p, &seeds, &cfg, 0, None, policy, |_, _| {});
             assert_eq!(run.last_iteration, dense.last_iteration, "{policy:?}");
             assert!(run.scores.iter().zip(&dense.scores).all(|(a, b)| a.to_bits() == b.to_bits()));
         }

@@ -77,7 +77,7 @@ use crate::admission::{
     SweepGuard,
 };
 use crate::batch::cpi_batch_guarded;
-use crate::cpi::cpi_guarded_policy;
+use crate::cpi::cpi_probed;
 use crate::dynamic::{
     propagate_offset_policy, DynamicTransition, MaintenanceMode, SourceDelta, UpdateDelta,
 };
@@ -87,8 +87,8 @@ use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::offcore::DiskGraph;
 use crate::patch::PatchedTransition;
 use crate::{
-    cpi_policy, CpiConfig, FrontierPolicy, ParallelTransition, Propagator, SeedSet, TpaError,
-    TpaIndex, TpaParams, Transition,
+    CpiConfig, FrontierPolicy, ParallelTransition, Propagator, SeedSet, TpaError, TpaIndex,
+    TpaParams, Transition,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -554,7 +554,7 @@ pub struct QueryResponse {
 /// writer refreshes each lane by OSP offset propagation — the offset
 /// seed is built from the batch's old columns
 /// ([`crate::DynamicTransition::offset_seed_for`]) and swept through
-/// [`propagate_offset_policy`] under [`FrontierPolicy::Auto`], so the
+/// the CPI sweep loop under [`FrontierPolicy::Auto`], so the
 /// refresh cost scales with the update's reach, not with `n + m`. A
 /// cache hit ([`Snapshot::run`] on a single pinned seed at an
 /// exact-serving path) returns the lane with no kernel run.
@@ -869,30 +869,30 @@ impl<'g> Snapshot<'g> {
                 (ExecMode::Auto, Some(index)) => {
                     resp.indexed = true;
                     if let [seed] = seeds[..] {
-                        let (scores, iters, residual) = index.query_traced_guarded_on(
+                        let run = index.family_sweep(
                             &self.backend,
                             &SeedSet::single(seed),
                             policy,
-                            &guard,
+                            |_| guard.probe(),
                         );
                         guard.check()?;
-                        resp.iterations = Some(iters);
-                        resp.residual = Some(residual);
-                        vec![scores]
+                        resp.iterations = Some(run.last_iteration);
+                        resp.residual = Some(run.final_residual);
+                        vec![index.finish_family(run.scores)]
                     } else {
                         self.tiled(seeds, &guard, |tile| index.query_batch_on(&self.backend, tile))?
                     }
                 }
                 _ => {
                     if let [seed] = seeds[..] {
-                        let run = cpi_guarded_policy(
+                        let run = cpi_probed(
                             &self.backend,
                             &SeedSet::single(seed),
                             &exact_cfg,
                             0,
                             None,
                             policy,
-                            &guard,
+                            |_| guard.probe(),
                         );
                         guard.check()?;
                         resp.iterations = Some(run.last_iteration);
@@ -2264,7 +2264,11 @@ fn build_cache(
     };
     let lanes = seeds
         .iter()
-        .map(|&s| Arc::new(cpi_policy(backend, &SeedSet::single(s), cfg, 0, None, policy).scores))
+        .map(|&s| {
+            Arc::new(
+                cpi_probed(backend, &SeedSet::single(s), cfg, 0, None, policy, |_| false).scores,
+            )
+        })
         .collect();
     Ok(Some(Arc::new(SnapshotCache { seeds, lanes, mode })))
 }

@@ -45,7 +45,7 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use crate::cpi::{cpi_sweep_policy, SweepProbe};
+use crate::cpi::{cpi_probed, SweepProbe};
 use crate::frontier::{FrontierPolicy, SupportUnion};
 use crate::tpa::finish_one;
 use crate::{CpiConfig, CpiResult, Propagator, SeedSet};
@@ -513,14 +513,13 @@ pub(crate) fn bounded_top_k<P: Propagator + ?Sized>(
         None => (None, cfg.iterations_to_converge().min(cfg.max_iters)),
     };
     let mut checker = Checker::new(n, cfg.c, spec);
-    let run = cpi_sweep_policy(
+    let run = cpi_probed(
         backend,
         seeds,
         cfg,
         0,
         end,
         policy,
-        |_, _| {},
         // The admission guard shares the checker's probe: a tripped
         // deadline/cancel stops the sweep before the next bound check.
         |probe| guard.is_some_and(|g| g.probe()) || checker.observe(probe),
@@ -575,7 +574,7 @@ pub(crate) fn chained_caps<P: Propagator + ?Sized>(backend: &P) -> TopkCaps {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{cpi_policy, top_k_scored, Transition};
+    use crate::{cpi, top_k_scored, Transition};
     use tpa_graph::gen::{cycle_graph, star_graph};
     use tpa_graph::CsrGraph;
 
@@ -620,7 +619,7 @@ mod tests {
         let spec = exact_spec(&caps, 3);
         let seeds = SeedSet::single(0);
         let out = bounded_top_k(&t, &seeds, &cfg, FrontierPolicy::Auto, &spec, None);
-        let dense = cpi_policy(&t, &seeds, &cfg, 0, None, FrontierPolicy::Auto);
+        let dense = cpi(&t, &seeds, &cfg, 0, None);
         let want = top_k_scored(&dense.scores, 3);
         match out.proven {
             Some(ranked) => {

@@ -1,7 +1,8 @@
 //! TPA: the two-phase approximation itself (paper §III, Algorithms 2 & 3).
 
+use crate::cpi::{cpi_probed, SweepProbe};
 use crate::dynamic::{propagate_offset_policy, MaintenanceMode, RefreshStats};
-use crate::{cpi, cpi_policy, CpiConfig, FrontierPolicy, SeedSet, TpaError, Transition};
+use crate::{cpi, CpiConfig, CpiResult, FrontierPolicy, SeedSet, TpaError, Transition};
 use tpa_graph::{CsrGraph, NodeId, Permutation};
 
 /// One node's [`TpaIndex::finish_family`] fold:
@@ -151,87 +152,41 @@ impl TpaIndex {
     /// (`S` CPI iterations, `O(mS)`), rescales it into the neighbor
     /// estimate, and adds the precomputed stranger vector.
     pub fn query(&self, transition: &Transition<'_>, seed: NodeId) -> Vec<f64> {
-        self.query_seeds(transition, &SeedSet::single(seed))
+        self.query_on(transition, &SeedSet::single(seed))
     }
 
-    /// [`TpaIndex::query`] generalized to arbitrary seed sets.
-    pub fn query_seeds(&self, transition: &Transition<'_>, seeds: &SeedSet) -> Vec<f64> {
-        self.query_on(transition, seeds)
-    }
-
-    /// Online phase over any propagation backend (e.g. the out-of-core
-    /// [`crate::offcore::DiskGraph`]). The family sweep runs under
-    /// [`FrontierPolicy::Auto`] — sparse while the seed's neighborhood
-    /// is small, bitwise identical to dense; use
-    /// [`TpaIndex::query_policy_on`] to force a direction.
+    /// Online phase for any seed set over any propagation backend (e.g.
+    /// the out-of-core [`crate::offcore::DiskGraph`]). The family sweep
+    /// runs under [`FrontierPolicy::Auto`] — sparse while the seed's
+    /// neighborhood is small, bitwise identical to dense.
     pub fn query_on<P: crate::Propagator + ?Sized>(
         &self,
         backend: &P,
         seeds: &SeedSet,
     ) -> Vec<f64> {
-        self.query_policy_on(backend, seeds, FrontierPolicy::Auto)
+        self.finish_family(
+            self.family_sweep(backend, seeds, FrontierPolicy::Auto, |_| false).scores,
+        )
     }
 
-    /// [`TpaIndex::query_on`] with an explicit [`FrontierPolicy`] for
-    /// the family sweep (any policy is bitwise invisible).
-    pub fn query_policy_on<P: crate::Propagator + ?Sized>(
+    /// The family sweep `x(0)…x(S−1)` with an early-stop probe — the
+    /// admission guard rides it on the service's indexed path, so a
+    /// tripped request stops at the next iteration boundary and skips
+    /// the `O(n)` [`TpaIndex::finish_family`]. An idle probe is bitwise
+    /// invisible.
+    pub(crate) fn family_sweep<P: crate::Propagator + ?Sized>(
         &self,
         backend: &P,
         seeds: &SeedSet,
         policy: FrontierPolicy,
-    ) -> Vec<f64> {
-        self.query_traced_policy_on(backend, seeds, policy).0
-    }
-
-    /// [`TpaIndex::query_policy_on`] that also reports the family
-    /// sweep's CPI accounting `(iterations, final residual)` — the
-    /// metadata a [`crate::QueryResponse`] carries. The scores are
-    /// bitwise identical to the untraced entry point (it delegates
-    /// here).
-    pub fn query_traced_policy_on<P: crate::Propagator + ?Sized>(
-        &self,
-        backend: &P,
-        seeds: &SeedSet,
-        policy: FrontierPolicy,
-    ) -> (Vec<f64>, usize, f64) {
+        stop: impl FnMut(SweepProbe<'_>) -> bool,
+    ) -> CpiResult {
+        // Guard before any kernel touches the vectors: a mismatched index
+        // would otherwise fail as an opaque out-of-bounds access (or,
+        // worse, silently truncate) deep inside a propagation kernel.
         self.check_backend(backend).unwrap_or_else(|e| panic!("{e}"));
-        let run = cpi_policy(
-            backend,
-            seeds,
-            &self.params.cpi_config(),
-            0,
-            Some(self.params.s - 1),
-            policy,
-        );
-        (self.finish_family(run.scores), run.last_iteration, run.final_residual)
-    }
-
-    /// [`TpaIndex::query_traced_policy_on`] with an admission guard
-    /// riding the family sweep. A tripped guard stops the sweep at the
-    /// next iteration boundary and skips the `O(n)` family finish; the
-    /// caller detects the trip via the guard and discards the partial
-    /// result. Idle guards are bitwise invisible.
-    pub(crate) fn query_traced_guarded_on<P: crate::Propagator + ?Sized>(
-        &self,
-        backend: &P,
-        seeds: &SeedSet,
-        policy: FrontierPolicy,
-        guard: &crate::admission::SweepGuard,
-    ) -> (Vec<f64>, usize, f64) {
-        self.check_backend(backend).unwrap_or_else(|e| panic!("{e}"));
-        let run = crate::cpi::cpi_guarded_policy(
-            backend,
-            seeds,
-            &self.params.cpi_config(),
-            0,
-            Some(self.params.s - 1),
-            policy,
-            guard,
-        );
-        if guard.abort_error().is_some() {
-            return (run.scores, run.last_iteration, run.final_residual);
-        }
-        (self.finish_family(run.scores), run.last_iteration, run.final_residual)
+        let cfg = self.params.cpi_config();
+        cpi_probed(backend, seeds, &cfg, 0, Some(self.params.s - 1), policy, stop)
     }
 
     /// Folds the neighbor rescale and the precomputed stranger part into
@@ -263,51 +218,6 @@ impl TpaIndex {
         crate::error::check_dimension(n, self.stranger.len())
     }
 
-    /// Online phase exposing the individual parts (used by the error
-    /// decomposition experiments).
-    pub fn query_parts(&self, transition: &Transition<'_>, seeds: &SeedSet) -> TpaParts {
-        self.query_parts_on(transition, seeds)
-    }
-
-    /// [`TpaIndex::query_parts`] over any propagation backend.
-    pub fn query_parts_on<P: crate::Propagator + ?Sized>(
-        &self,
-        backend: &P,
-        seeds: &SeedSet,
-    ) -> TpaParts {
-        self.query_parts_policy_on(backend, seeds, FrontierPolicy::Auto)
-    }
-
-    /// [`TpaIndex::query_parts_on`] with an explicit [`FrontierPolicy`]
-    /// for the family sweep.
-    pub fn query_parts_policy_on<P: crate::Propagator + ?Sized>(
-        &self,
-        backend: &P,
-        seeds: &SeedSet,
-        policy: FrontierPolicy,
-    ) -> TpaParts {
-        // Guard before any kernel touches the vectors: a mismatched index
-        // would otherwise fail as an opaque out-of-bounds access (or,
-        // worse, silently truncate) deep inside a propagation kernel.
-        self.check_backend(backend).unwrap_or_else(|e| panic!("{e}"));
-        let family = cpi_policy(
-            backend,
-            seeds,
-            &self.params.cpi_config(),
-            0,
-            Some(self.params.s - 1),
-            policy,
-        )
-        .scores;
-        TpaParts { family }
-    }
-
-    /// The approximate neighbor part implied by a family vector.
-    pub fn scale_neighbor(&self, family: &[f64]) -> Vec<f64> {
-        let scale = self.params.neighbor_scale();
-        family.iter().map(|&f| scale * f).collect()
-    }
-
     /// The precomputed stranger vector `r̃_stranger`.
     pub fn stranger(&self) -> &[f64] {
         &self.stranger
@@ -322,8 +232,8 @@ impl TpaIndex {
     /// recurrence from the offset seed `b = (1−c)(Ã' − Ã)ᵀp_T` — built
     /// by [`crate::DynamicTransition::offset_seed_for`] from the
     /// accumulated first-occurrence old columns — and is propagated here
-    /// through the *updated* operator via
-    /// [`propagate_offset_policy`], frontier-routed
+    /// through the *updated* operator by the CPI sweep loop started from
+    /// `b`, frontier-routed
     /// ([`FrontierPolicy::Auto`] keeps the sweep on the sparse kernel
     /// while the correction's support is small). Cost scales with the
     /// drift's reach, not `O(n + m)` CPI from scratch.
@@ -501,13 +411,6 @@ impl TpaIndex {
         };
         Ok(Self { params, stranger, stats: PreprocessStats { iterations, final_residual }, perm })
     }
-}
-
-/// The exactly-computed pieces of a TPA query.
-#[derive(Clone, Debug)]
-pub struct TpaParts {
-    /// `r_family`: the exact sum of iterations `0..S−1`.
-    pub family: Vec<f64>,
 }
 
 #[cfg(test)]

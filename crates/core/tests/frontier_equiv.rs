@@ -4,7 +4,7 @@
 //! direction decision may only ever change latency, never a bit of
 //! output. Covered surfaces:
 //!
-//! 1. `cpi_policy` across sequential / parallel / patched backends ×
+//! 1. `cpi_trace_policy` across sequential / parallel / patched backends ×
 //!    {Dense, Sparse, Auto} × single- and multi-seed sets × full and
 //!    windowed (family-style) runs.
 //! 2. Patched views published *after* update batches (dirty overlays),
@@ -12,15 +12,19 @@
 //!    in-rows.
 //! 3. Reordered services (`reordering` × `frontier`): the permuted
 //!    gather must stay bitwise stable under every policy.
+//! 4. OSP offset propagation runs the CPI sweep loop: the offset seed
+//!    `b = c·e_s` propagated into a zero vector *is* CPI from `s`.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use tpa_core::{
-    cpi_policy, CpiConfig, DynamicTransition, FrontierPolicy, ParallelTransition, SeedSet,
-    ServiceBuilder, Transition,
+    cpi_trace_policy, CpiConfig, DynamicTransition, FrontierPolicy, MaintenanceMode,
+    ParallelTransition, Propagator, SeedSet, ServiceBuilder, TpaIndex, TpaParams, Transition,
 };
 use tpa_graph::gen::erdos_renyi_gnm;
-use tpa_graph::{CsrGraph, DynamicGraph, EdgeUpdate, NodeId, ReorderStrategy};
+use tpa_graph::{
+    CsrGraph, DanglingPolicy, DynamicGraph, EdgeUpdate, GraphBuilder, NodeId, ReorderStrategy,
+};
 
 fn random_graph(n: usize, seed: u64) -> CsrGraph {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -50,14 +54,14 @@ proptest! {
         let seeds = SeedSet::single(seed);
         let end = if window == 0 { None } else { Some(4) };
         let seq = Transition::new(&g);
-        let reference = cpi_policy(&seq, &seeds, &cfg, 0, end, FrontierPolicy::Dense);
+        let reference = cpi_trace_policy(&seq, &seeds, &cfg, 0, end, FrontierPolicy::Dense, |_, _| {});
         let par = ParallelTransition::new(&g, threads);
         let dyn_t = DynamicTransition::new(DynamicGraph::new(g.clone())).publish_patched();
         for policy in POLICIES {
             for (name, run) in [
-                ("seq", cpi_policy(&seq, &seeds, &cfg, 0, end, policy)),
-                ("par", cpi_policy(&par, &seeds, &cfg, 0, end, policy)),
-                ("dyn", cpi_policy(&dyn_t, &seeds, &cfg, 0, end, policy)),
+                ("seq", cpi_trace_policy(&seq, &seeds, &cfg, 0, end, policy, |_, _| {})),
+                ("par", cpi_trace_policy(&par, &seeds, &cfg, 0, end, policy, |_, _| {})),
+                ("dyn", cpi_trace_policy(&dyn_t, &seeds, &cfg, 0, end, policy, |_, _| {})),
             ] {
                 prop_assert_eq!(&run.scores, &reference.scores,
                     "{} diverged under {}", name, policy.name());
@@ -85,9 +89,9 @@ proptest! {
         let seeds = SeedSet::set(vec![pick(s1), pick(s2), pick(s3), pick(s1)]);
         let cfg = CpiConfig::default();
         let t = Transition::new(&g);
-        let dense = cpi_policy(&t, &seeds, &cfg, 0, None, FrontierPolicy::Dense);
+        let dense = cpi_trace_policy(&t, &seeds, &cfg, 0, None, FrontierPolicy::Dense, |_, _| {});
         for policy in [FrontierPolicy::Sparse, FrontierPolicy::Auto] {
-            let run = cpi_policy(&t, &seeds, &cfg, 0, None, policy);
+            let run = cpi_trace_policy(&t, &seeds, &cfg, 0, None, policy, |_, _| {});
             prop_assert_eq!(&run.scores, &dense.scores, "policy {}", policy.name());
         }
     }
@@ -120,15 +124,15 @@ proptest! {
         let par = par.publish_patched();
         let cfg = CpiConfig::default();
         let seeds = SeedSet::single((u % m).min(n as u32 - 1));
-        let dense = cpi_policy(&seq, &seeds, &cfg, 0, None, FrontierPolicy::Dense);
+        let dense = cpi_trace_policy(&seq, &seeds, &cfg, 0, None, FrontierPolicy::Dense, |_, _| {});
         for policy in POLICIES {
             prop_assert_eq!(
-                &cpi_policy(&seq, &seeds, &cfg, 0, None, policy).scores,
+                &cpi_trace_policy(&seq, &seeds, &cfg, 0, None, policy, |_, _| {}).scores,
                 &dense.scores,
                 "seq overlay, policy {}", policy.name()
             );
             prop_assert_eq!(
-                &cpi_policy(&par, &seeds, &cfg, 0, None, policy).scores,
+                &cpi_trace_policy(&par, &seeds, &cfg, 0, None, policy, |_, _| {}).scores,
                 &dense.scores,
                 "par overlay, policy {}", policy.name()
             );
@@ -159,6 +163,46 @@ proptest! {
             prop_assert_eq!(&par, &dense, "par {} {}", strategy.name(), policy.name());
             let dynamic = query(ServiceBuilder::dynamic(DynamicGraph::new(g.clone())), policy);
             prop_assert_eq!(&dynamic, &dense, "dyn {} {}", strategy.name(), policy.name());
+        }
+    }
+
+    /// Invariant 4: offset propagation *is* CPI. Patching an all-zero
+    /// stranger vector with the offset seed `b = c·e_s` must reproduce
+    /// CPI from `s` bit for bit, with the same iteration count, on every
+    /// backend under every policy.
+    #[test]
+    fn offset_propagation_is_cpi(
+        n in 8usize..60,
+        gseed in 0u64..500,
+        seed_frac in 0.0f64..1.0,
+        threads in 2usize..6,
+    ) {
+        let g = random_graph(n, gseed);
+        let seed = ((n as f64 * seed_frac) as usize).min(n - 1) as NodeId;
+        // An edgeless graph without dangling self-loops has x(1) = 0, so
+        // its stranger tail is exactly zero.
+        let edgeless = GraphBuilder::new(n).dangling_policy(DanglingPolicy::Keep).build();
+        let zero = TpaIndex::preprocess(&edgeless, TpaParams::new(2, 4));
+        prop_assert!(zero.stranger().iter().all(|v| v.to_bits() == 0));
+        let cfg = zero.params().cpi_config();
+        let mut b = vec![0.0f64; n];
+        b[seed as usize] = cfg.c;
+        let seq = Transition::new(&g);
+        let par = ParallelTransition::new(&g, threads);
+        let dyn_t = DynamicTransition::new(DynamicGraph::new(g.clone())).publish_patched();
+        let backends: [(&str, &dyn Propagator); 3] = [("seq", &seq), ("par", &par), ("dyn", &dyn_t)];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for policy in POLICIES {
+            for (name, backend) in backends {
+                let seeds = SeedSet::single(seed);
+                let run = cpi_trace_policy(backend, &seeds, &cfg, 0, None, policy, |_, _| {});
+                let (patched, stats) =
+                    zero.patch_stranger_on(backend, b.clone(), MaintenanceMode::Exact, policy);
+                prop_assert_eq!(bits(patched.stranger()), bits(&run.scores),
+                    "{} offset diverged from CPI under {}", name, policy.name());
+                prop_assert_eq!(stats.iterations, run.last_iteration,
+                    "{} iteration count under {}", name, policy.name());
+            }
         }
     }
 }

@@ -364,3 +364,28 @@ fn aborted_requests_leave_no_state_and_metrics_tally_exactly() {
     drop(pinned);
     assert!(weak.upgrade().is_none(), "pre-stress snapshot leaked a reference");
 }
+
+#[test]
+fn exact_batch_lanes_stop_at_their_own_convergence() {
+    // A 10-cycle beside a chain 10→…→30 whose every node also points to
+    // the dangling sink 39. Mass leaks at the sink, so seed 10's residual
+    // decays far faster than seed 0's: a batch that stopped on a shared
+    // residual would cut seed 0's series short.
+    let mut edges: Vec<(NodeId, NodeId)> = (0..10).map(|v| (v, (v + 1) % 10)).collect();
+    edges.extend((10..30).map(|v| (v, v + 1)));
+    edges.extend((10..=30).map(|v| (v, 39)));
+    let g = tpa_graph::GraphBuilder::new(40)
+        .dangling_policy(tpa_graph::DanglingPolicy::Keep)
+        .extend_edges(edges)
+        .build();
+    let service = ServiceBuilder::dynamic(DynamicGraph::new(g)).build().unwrap();
+    let scores = |req: QueryRequest| service.submit(&req).unwrap().result.into_scores();
+    let batch = scores(QueryRequest::batch([0, 10]).exact());
+    for (lane, seed) in batch.iter().zip([0 as NodeId, 10]) {
+        let single = scores(QueryRequest::single(seed).exact()).remove(0);
+        assert!(
+            lane.iter().zip(&single).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "seed {seed}: batch lane differs from its single run"
+        );
+    }
+}

@@ -44,7 +44,7 @@ fn batched_tpa_serves_dataset_queries() {
     let t = Transition::new(g);
     let index = TpaIndex::preprocess(g, TpaParams::new(d.spec.s, d.spec.t));
     let seeds: Vec<u32> = (0..8).map(|i| (i * 131) % g.n() as u32).collect();
-    let batch = index.query_batch(&t, &seeds);
+    let batch = index.query_batch_on(&t, &seeds);
     for (j, &s) in seeds.iter().enumerate() {
         assert_eq!(batch[j], index.query(&t, s), "seed {s}");
     }
@@ -55,7 +55,7 @@ fn parallel_tpa_query_is_identical() {
     let d = dataset();
     let g = &d.graph;
     let index = TpaIndex::preprocess(g, TpaParams::new(d.spec.s, d.spec.t));
-    let seq = index.query_seeds(&Transition::new(g), &SeedSet::single(7));
+    let seq = index.query_on(&Transition::new(g), &SeedSet::single(7));
     let par = index.query_on(&ParallelTransition::new(g, 8), &SeedSet::single(7));
     assert_eq!(seq, par);
 }

@@ -52,7 +52,7 @@ fn offcore_pipeline_equals_in_memory() {
 
     let t = Transition::new(&d.graph);
     let seeds = SeedSet::single(13);
-    let a = mem_index.query_seeds(&t, &seeds);
+    let a = mem_index.query_on(&t, &seeds);
     let b = disk_index.query_on(&disk, &seeds);
     assert!(metrics::l1_error(&a, &b) < 1e-14);
 
