@@ -24,7 +24,8 @@
 //! per-round ratios, so a slow host episode hits both sides of a ratio
 //! — the estimator `metrics_overhead` and `spmv_kernels` use.
 //! Output: ASCII table (median per-policy times),
-//! `results/query_latency_<n>.csv`, and `BENCH_frontier.json`.
+//! `results/query_latency_<n>.csv`, and `BENCH_frontier.json` (on the
+//! shared [`BenchReport`] envelope).
 //! Acceptance (full run, n=1M): `Auto` ≥ 3× the dense latency on the
 //! low-degree seed, and never > 1.1× dense on the hub seed; a full run
 //! exits nonzero when either bar fails.
@@ -35,6 +36,7 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
 use tpa_bench::harness::results_dir;
+use tpa_bench::report::BenchReport;
 use tpa_core::{
     FrontierPolicy, ParallelTransition, QueryRequest, RwrService, ServiceBuilder, TpaIndex,
     TpaParams,
@@ -125,24 +127,27 @@ fn main() {
         let dir = results_dir();
         std::fs::create_dir_all(&dir).ok();
         table.write_csv(dir.join(format!("query_latency_{n}.csv"))).unwrap();
-        json_configs.push(format!(
-            "  \"n{n}\": {{\n    \"graph\": {{\"generator\": \"rmat\", \"n\": {n}, \"m\": {m}}},\n\
-             {}\n  }}",
-            json_rows.join(",\n")
+        json_configs.push((
+            format!("n{n}"),
+            format!(
+                "{{\n    \"graph\": {{\"generator\": \"rmat\", \"n\": {n}, \"m\": {m}}},\n{}\n  }}",
+                json_rows.join(",\n")
+            ),
         ));
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"query_latency\",\n  \"s\": {},\n  \"t\": {},\n{},\n  \
-         \"low_seed_auto_speedup\": {low_speedup:.3},\n  \"hub_seed_auto_vs_dense\": \
-         {hub_ratio:.3}\n}}\n",
-        PARAMS.s,
-        PARAMS.t,
-        json_configs.join(",\n")
-    );
-    std::fs::write("BENCH_frontier.json", &json).unwrap();
-    eprintln!("[query_latency] wrote BENCH_frontier.json");
     let pass = low_speedup >= 3.0 && hub_ratio <= 1.1;
+    let mut report = BenchReport::new("query_latency")
+        .field("s", format!("{}", PARAMS.s))
+        .field("t", format!("{}", PARAMS.t));
+    for (key, config) in json_configs {
+        report = report.field(&key, config);
+    }
+    report
+        .field("low_seed_auto_speedup", format!("{low_speedup:.3}"))
+        .field("hub_seed_auto_vs_dense", format!("{hub_ratio:.3}"))
+        .field("pass", if quick { "null".into() } else { format!("{pass}") })
+        .write("BENCH_frontier.json");
     let verdict = if quick {
         "(smoke run, no bar)".to_string()
     } else {

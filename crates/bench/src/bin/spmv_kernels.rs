@@ -10,14 +10,19 @@
 //! * **`<strategy>+flat`** — the same gather on the graph relabeled by
 //!   each [`ReorderStrategy`].
 //!
-//! All variants are bit-identical in results up to relabeling; only the
-//! memory access pattern differs. Scalar (1-lane) and fused 8-lane block
+//! Relabeling changes the memory access pattern and also the order in
+//! which each destination folds its in-row, so the variants agree up to
+//! relabeling and floating-point association, not bit for bit. Every
+//! run (quick included) checks this before timing: flat's output must
+//! equal a textbook `x[u]·(1/outdeg u)` gather computed here bit for
+//! bit, and each reordered variant's output, unpermuted, must lie within
+//! 1e-12 relative L1 of flat's. Scalar (1-lane) and fused 8-lane block
 //! passes are both timed. Rounds are interleaved across variants and
 //! each speedup is the median of per-round `flat / variant` ratios, so
 //! a slow host episode hits both sides of a ratio.
 //!
 //! Output: ASCII table, `results/spmv_kernels_<n>.csv`, and
-//! `BENCH_spmv.json`. The acceptance bar is best reordering + flat
+//! `BENCH_spmv.json` (on the shared [`BenchReport`] envelope). The acceptance bar is best reordering + flat
 //! ≥ 1.3× flat on the n=1M config's scalar pass; a run that includes
 //! that config exits nonzero when the bar fails.
 //!
@@ -27,11 +32,12 @@
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use tpa_bench::harness::results_dir;
+use tpa_bench::report::BenchReport;
 use tpa_core::batch::ScoreBlock;
 use tpa_core::{Propagator, Transition};
 use tpa_eval::Table;
 use tpa_graph::gen::{rmat, RmatConfig};
-use tpa_graph::{reorder, CsrGraph, Permutation, ReorderStrategy};
+use tpa_graph::{reorder, CsrGraph, NodeId, Permutation, ReorderStrategy};
 
 const BLOCK_LANES: usize = 8;
 const SCALAR_ROUNDS: usize = 5;
@@ -40,10 +46,16 @@ const BLOCK_ROUNDS: usize = 3;
 const BAR_N: usize = 1_000_000;
 /// Best reordered scalar speedup the bar requires.
 const BAR_SPEEDUP: f64 = 1.3;
+/// Largest relative L1 gap a reordered variant may show against flat.
+const REORDER_TOL: f64 = 1e-12;
+/// The propagation coefficient every pass uses.
+const COEFF: f64 = 0.85;
 
 struct Variant {
     label: String,
     graph: CsrGraph,
+    /// The relabeling applied to the flat graph (`None` for flat).
+    perm: Option<Permutation>,
     reorder_secs: f64,
 }
 
@@ -80,20 +92,27 @@ fn main() {
 
         let mut variants = Vec::with_capacity(1 + ReorderStrategy::ALL.len());
         for strategy in ReorderStrategy::ALL {
-            let (permuted, dt) = tpa_eval::time(|| {
+            let ((perm, graph), dt) = tpa_eval::time(|| {
                 let perm = reorder(&g, strategy);
-                g.permuted(&perm)
+                let graph = g.permuted(&perm);
+                (perm, graph)
             });
             variants.push(Variant {
                 label: format!("{}+flat", strategy.name()),
-                graph: permuted,
+                graph,
+                perm: Some(perm),
                 reorder_secs: dt.as_secs_f64(),
             });
         }
-        variants.insert(0, Variant { label: "flat".into(), graph: g, reorder_secs: 0.0 });
+        variants
+            .insert(0, Variant { label: "flat".into(), graph: g, perm: None, reorder_secs: 0.0 });
 
         let transitions: Vec<Transition<'_>> =
             variants.iter().map(|v| Transition::new(&v.graph)).collect();
+        let max_rel_l1 = check_outputs(&variants, &transitions, n);
+        eprintln!(
+            "[spmv_kernels] flat == textbook gather bitwise; reordered max rel L1 {max_rel_l1:.2e}"
+        );
         let scalar = time_scalar(&transitions, n);
         let block = time_block(&transitions, n);
 
@@ -136,9 +155,13 @@ fn main() {
         std::fs::create_dir_all(&dir).ok();
         table.write_csv(dir.join(format!("spmv_kernels_{n}.csv"))).unwrap();
 
-        json_configs.push(format!(
-            "  \"n{n}\": {{\n    \"graph\": {{\"generator\": \"rmat\", \"n\": {n}, \"m\": {m}}},\n{}\n  }}",
-            json_rows.join(",\n")
+        json_configs.push((
+            format!("n{n}"),
+            format!(
+                "{{\n    \"graph\": {{\"generator\": \"rmat\", \"n\": {n}, \"m\": {m}}},\n    \
+                 \"reordered_max_rel_l1\": {max_rel_l1:.3e},\n{}\n  }}",
+                json_rows.join(",\n")
+            ),
         ));
         best = config_best;
         if n == BAR_N {
@@ -146,13 +169,17 @@ fn main() {
         }
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"spmv_kernels\",\n  \"block_lanes\": {BLOCK_LANES},\n\
-         {},\n  \"best_reordered_flat_scalar_speedup\": {best:.3}\n}}\n",
-        json_configs.join(",\n")
-    );
-    std::fs::write("BENCH_spmv.json", &json).unwrap();
-    eprintln!("[spmv_kernels] wrote BENCH_spmv.json");
+    let pass = bar_best.map(|b| b >= BAR_SPEEDUP);
+    let mut report =
+        BenchReport::new("spmv_kernels").field("block_lanes", format!("{BLOCK_LANES}"));
+    for (key, config) in json_configs {
+        report = report.field(&key, config);
+    }
+    report
+        .field("best_reordered_flat_scalar_speedup", format!("{best:.3}"))
+        .field("bar", format!("{BAR_SPEEDUP:.2}"))
+        .field("pass", pass.map_or("null".into(), |p| format!("{p}")))
+        .write("BENCH_spmv.json");
     eprintln!("[spmv_kernels] best reordered+flat scalar speedup: {best:.2}x");
     match bar_best {
         None => eprintln!("[spmv_kernels] no n={BAR_N} config, no bar"),
@@ -183,13 +210,53 @@ fn input_vector(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i.wrapping_mul(2654435761)) % 1000 + 1) as f64 / 1000.0 / n as f64).collect()
 }
 
+/// The CPI step as written down: `y[v] = coeff · Σ_{u∈in(v)} x[u]·(1/outdeg u)`,
+/// folded left over `v`'s ascending in-row.
+fn textbook_gather(g: &CsrGraph, x: &[f64]) -> Vec<f64> {
+    let inv = g.inv_out_degrees();
+    (0..g.n() as NodeId)
+        .map(|v| {
+            COEFF * g.in_neighbors(v).iter().fold(0.0, |a, &u| a + x[u as usize] * inv[u as usize])
+        })
+        .collect()
+}
+
+/// Checks every variant's scalar output before anything is timed:
+/// flat must equal [`textbook_gather`] bit for bit, and each reordered
+/// variant (fed the relabeled input, its output unpermuted) must lie
+/// within [`REORDER_TOL`] relative L1 of flat. Panics on a miss; returns
+/// the largest relative L1 gap seen.
+fn check_outputs(variants: &[Variant], ts: &[Transition<'_>], n: usize) -> f64 {
+    let x = input_vector(n);
+    let mut flat = vec![0.0; n];
+    ts[0].propagate_into(COEFF, &x, &mut flat);
+    let want = textbook_gather(&variants[0].graph, &x);
+    assert!(
+        flat.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
+        "flat gather diverged from the textbook fold"
+    );
+    let flat_l1: f64 = flat.iter().map(|v| v.abs()).sum();
+    let mut max_rel = 0.0f64;
+    let mut y = vec![0.0; n];
+    for (v, t) in variants.iter().zip(ts).skip(1) {
+        let perm = v.perm.as_ref().expect("reordered variants carry their permutation");
+        t.propagate_into(COEFF, &perm.permute_values(&x), &mut y);
+        let back = perm.unpermute_values(&y);
+        let gap: f64 = back.iter().zip(&flat).map(|(a, b)| (a - b).abs()).sum();
+        let rel = gap / flat_l1;
+        assert!(rel <= REORDER_TOL, "{} is {rel:.3e} relative L1 from flat", v.label);
+        max_rel = max_rel.max(rel);
+    }
+    max_rel
+}
+
 /// Scalar-pass samples, `[variant][round]`: each round times every
 /// variant once, in order, so per-round ratios are paired.
 fn time_scalar(ts: &[Transition<'_>], n: usize) -> Vec<Vec<f64>> {
     let x = input_vector(n);
     let mut y = vec![0.0; n];
     interleaved(ts, SCALAR_ROUNDS, |t| {
-        t.propagate_into(0.85, &x, &mut y);
+        t.propagate_into(COEFF, &x, &mut y);
         std::hint::black_box(&mut y);
     })
 }
@@ -200,7 +267,7 @@ fn time_block(ts: &[Transition<'_>], n: usize) -> Vec<Vec<f64>> {
     x.data_mut().copy_from_slice(&input_vector(n * BLOCK_LANES));
     let mut y = ScoreBlock::zeros(n, BLOCK_LANES);
     interleaved(ts, BLOCK_ROUNDS, |t| {
-        t.propagate_block_into(0.85, &x, &mut y);
+        t.propagate_block_into(COEFF, &x, &mut y);
         std::hint::black_box(y.data());
     })
 }

@@ -17,12 +17,18 @@
 //! least `50·k` nodes, so every query ranks a real candidate set
 //! instead of a degenerate island (R-MAT leaves many nodes on tiny
 //! components whose "top 20" is mostly zero-score ties). The returned
-//! set and order are asserted identical on every seed.
+//! set and order are asserted identical on every seed. Dense and bounded
+//! are timed paired and interleaved: each round runs both once, the
+//! side that goes first alternating per round, and every speedup is the
+//! median of the per-round `dense / bounded` ratios, so a slow host
+//! episode hits both sides of a ratio (the estimator `query_latency`
+//! and `spmv_kernels` use).
 //!
 //! Output: ASCII table, `results/topk_latency_<n>.csv`, and
 //! `BENCH_topk.json`. Acceptance — enforced in-binary, **including the
-//! `TPA_QUICK=1` CI smoke** (exit 1 on miss): bounded ≥ 1.10× faster
-//! than dense on the smoke config's (n=20k) median seed.
+//! `TPA_QUICK=1` CI smoke** (exit 1 on miss): the median per-round
+//! speedup of bounded over dense is ≥ 1.10× on the smoke config's
+//! (n=20k) median seed.
 //!
 //! ## Why the bar is 1.10× and not the 3× originally targeted
 //!
@@ -53,7 +59,7 @@ use tpa_eval::Table;
 use tpa_graph::gen::{rmat, RmatConfig};
 use tpa_graph::{CsrGraph, NodeId, Permutation};
 
-const ROUNDS: usize = 5;
+const ROUNDS: usize = 7;
 const K: usize = 20;
 const BAR: f64 = 1.10;
 /// The config the bar is enforced on (always present in quick runs).
@@ -123,11 +129,10 @@ fn main() {
             let guarantee = bounded_resp.topk.expect("guarantee present");
             assert!(guarantee.proven_exact && !guarantee.fallback_dense);
 
-            let dense_secs = time_request(&service, &dense_req);
-            let bounded_secs = time_request(&service, &bounded_req);
+            let (dense_secs, bounded_secs, speedup) =
+                time_paired(&service, &dense_req, &bounded_req);
             let dense_iters = dense_resp.iterations.unwrap();
             let bounded_iters = bounded_resp.iterations.unwrap();
-            let speedup = dense_secs / bounded_secs;
             if label == "median" && n == SMOKE_N {
                 smoke_median_speedup = Some(speedup);
             }
@@ -191,15 +196,27 @@ fn ids(cut: &[(NodeId, f64)]) -> Vec<NodeId> {
     cut.iter().map(|&(id, _)| id).collect()
 }
 
-/// Median-of-ROUNDS wall time for one request.
-fn time_request(service: &tpa_core::RwrService, req: &QueryRequest) -> f64 {
-    let mut samples = Vec::with_capacity(ROUNDS);
-    for _ in 0..ROUNDS {
-        let (resp, dt) = tpa_eval::time(|| service.submit(req));
-        std::hint::black_box(&resp.unwrap());
-        samples.push(dt.as_secs_f64());
+/// Times `dense` and `bounded` paired over `ROUNDS` rounds, each round
+/// running both once with the first side alternating. Returns the
+/// median seconds of each side and the median per-round
+/// `dense / bounded` ratio.
+fn time_paired(
+    service: &tpa_core::RwrService,
+    dense: &QueryRequest,
+    bounded: &QueryRequest,
+) -> (f64, f64, f64) {
+    let mut samples: [Vec<f64>; 2] = Default::default();
+    for round in 0..ROUNDS {
+        for k in [round % 2, (round + 1) % 2] {
+            let req = if k == 0 { dense } else { bounded };
+            let (resp, dt) = tpa_eval::time(|| service.submit(req));
+            std::hint::black_box(&resp.unwrap());
+            samples[k].push(dt.as_secs_f64());
+        }
     }
-    median(&mut samples)
+    let [dense_secs, bounded_secs] = &samples;
+    let ratios: Vec<f64> = dense_secs.iter().zip(bounded_secs).map(|(d, b)| d / b).collect();
+    (median(dense_secs), median(bounded_secs), median(&ratios))
 }
 
 /// Uniform random relabeling (Fisher–Yates) for the "as-ingested"
@@ -270,7 +287,8 @@ fn hub_seed(g: &CsrGraph) -> NodeId {
     by_degree(g).into_iter().rev().find(|&v| eligible(g, v)).expect("graph has an eligible node")
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.total_cmp(b));
+    sorted[sorted.len() / 2]
 }

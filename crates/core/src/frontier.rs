@@ -423,7 +423,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gather::gather_flat;
     use tpa_graph::gen::{lfr_lite, LfrConfig};
 
     fn test_graph() -> CsrGraph {
@@ -468,7 +467,8 @@ mod tests {
             x[u as usize] = 0.05 * (k + 1) as f64;
         }
         let mut dense = vec![0.0f64; n];
-        let dense_res = gather_flat(&g, &inv, 0.85, &x, &mut dense, 0..n as NodeId);
+        let dense_res =
+            crate::gather::propagate_norm(&g, &inv, &[(0, n as u32)], 0.85, &x, &mut dense);
         let mut sparse = vec![0.0f64; n];
         let mut scratch = FrontierScratch::new(n);
         let step =

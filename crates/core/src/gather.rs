@@ -3,9 +3,13 @@
 //!
 //! The step `y ← coeff·Ãᵀ·x` is a *gather* over in-edges: destination
 //! `v` folds `x[u]·(1/outdeg u)` over its in-neighbors `u` in ascending
-//! order, left to right, and applies `coeff` once at the end. Writes are
-//! sequential; the reads of `x` are the random part, so locality comes
-//! from the node ordering (`tpa_graph::reorder`), not from the kernel.
+//! order, left to right, and applies `coeff` once at the end. The dense
+//! dispatch first builds the pre-scaled source `z[u] = x[u]·(1/outdeg u)`
+//! in one sequential pass, so the fold reads one random `z[u]` per
+//! in-edge instead of `x[u]` and `inv[u]` — the same IEEE products, so
+//! the same bits. Writes are sequential; the reads of `z` are the random
+//! part, so locality comes from the node ordering (`tpa_graph::reorder`),
+//! not from the kernel.
 //!
 //! [`crate::Transition`], [`crate::ParallelTransition`] and the
 //! dynamic overlay's published [`crate::PatchedTransition`] all run this
@@ -80,17 +84,23 @@ impl InAdjacency for CsrGraph {
     }
 }
 
-/// Flat scalar gather for destinations `range`, writing into `y_local`
-/// (`y_local[0]` is node `range.start`). Returns the range's `Σ|y|` in
-/// the blocked-canonical association (per-[`NORM_BLOCK`] partials folded
-/// ascending, blocks aligned to *global* node ids) — the convergence
-/// residual, for free (see
+/// The pre-scaled source `z[u] = x[u]·inv[u]`: each source's share,
+/// computed once per node instead of once per out-edge.
+fn prescale(x: &[f64], inv: &[f64]) -> Vec<f64> {
+    x.iter().zip(inv).map(|(&xu, &w)| xu * w).collect()
+}
+
+/// Flat scalar gather over the pre-scaled source `z` (see [`prescale`])
+/// for destinations `range`, writing `coeff·Σ_{u∈in(v)} z[u]` into
+/// `y_local` (`y_local[0]` is node `range.start`). Returns the range's
+/// `Σ|y|` in the blocked-canonical association (per-[`NORM_BLOCK`]
+/// partials folded ascending, blocks aligned to *global* node ids) — the
+/// convergence residual, for free (see
 /// [`crate::Propagator::propagate_into_norm`]).
-pub(crate) fn gather_flat<A: InAdjacency + ?Sized>(
+fn gather_flat<A: InAdjacency + ?Sized>(
     adj: &A,
-    inv: &[f64],
+    z: &[f64],
     coeff: f64,
-    x: &[f64],
     y_local: &mut [f64],
     range: Range<NodeId>,
 ) -> f64 {
@@ -105,7 +115,7 @@ pub(crate) fn gather_flat<A: InAdjacency + ?Sized>(
         *y = if row.is_empty() {
             0.0
         } else {
-            coeff * row.iter().fold(0.0, |a, &u| a + x[u as usize] * inv[u as usize])
+            coeff * row.iter().fold(0.0, |a, &u| a + z[u as usize])
         };
         part += y.abs();
         until -= 1;
@@ -171,12 +181,23 @@ pub(crate) fn propagate<A: InAdjacency + Sync + ?Sized>(
 ) {
     assert_eq!(x.len(), inv.len(), "input vector length mismatch");
     assert_eq!(y.len(), inv.len(), "output vector length mismatch");
+    gather_ranges(adj, &prescale(x, inv), ranges, coeff, y);
+}
+
+/// [`gather_flat`] over every range of the split, pre-scaled source `z`.
+fn gather_ranges<A: InAdjacency + Sync + ?Sized>(
+    adj: &A,
+    z: &[f64],
+    ranges: &[(u32, u32)],
+    coeff: f64,
+    y: &mut [f64],
+) {
     if let [(start, end)] = *ranges {
-        gather_flat(adj, inv, coeff, x, y, start..end);
+        gather_flat(adj, z, coeff, y, start..end);
         return;
     }
     par_ranges(ranges, 1, y, |slice, start, end| {
-        gather_flat(adj, inv, coeff, x, slice, start..end);
+        gather_flat(adj, z, coeff, slice, start..end);
     });
 }
 
@@ -195,15 +216,16 @@ pub(crate) fn propagate_norm<A: InAdjacency + Sync + ?Sized>(
 ) -> f64 {
     assert_eq!(x.len(), inv.len(), "input vector length mismatch");
     assert_eq!(y.len(), inv.len(), "output vector length mismatch");
+    let z = prescale(x, inv);
     if let [(start, end)] = *ranges {
-        return gather_flat(adj, inv, coeff, x, y, start..end);
+        return gather_flat(adj, &z, coeff, y, start..end);
     }
     if ranges_block_aligned(ranges) {
         return par_ranges_norm(ranges, y, |slice, start, end| {
-            gather_flat(adj, inv, coeff, x, slice, start..end);
+            gather_flat(adj, &z, coeff, slice, start..end);
         });
     }
-    propagate(adj, inv, ranges, coeff, x, y);
+    gather_ranges(adj, &z, ranges, coeff, y);
     blocked_norm(y)
 }
 
@@ -380,7 +402,7 @@ mod tests {
         let n = g.n();
         let x: Vec<f64> = (0..n).map(|i| ((i * 7) % 29) as f64 / 29.0 - 0.4).collect();
         let mut y = vec![0.0; n];
-        let flat_norm = gather_flat(&g, &inv, 0.85, &x, &mut y, 0..n as NodeId);
+        let flat_norm = gather_flat(&g, &prescale(&x, &inv), 0.85, &mut y, 0..n as NodeId);
         let scan: f64 = y.iter().map(|v| v.abs()).sum();
         assert_eq!(flat_norm.to_bits(), scan.to_bits());
     }
@@ -434,8 +456,9 @@ mod tests {
         let inv = g.inv_out_degrees();
         let n = g.n();
         let x: Vec<f64> = (0..n).map(|i| ((i * 31) % 83) as f64 / 83.0 - 0.2).collect();
+        let z = prescale(&x, &inv);
         let mut y = vec![0.0; n];
-        let flat_norm = gather_flat(&g, &inv, 0.85, &x, &mut y, 0..n as NodeId);
+        let flat_norm = gather_flat(&g, &z, 0.85, &mut y, 0..n as NodeId);
         assert_eq!(flat_norm.to_bits(), blocked_norm(&y).to_bits());
         // Per-worker partials over block-aligned ranges compose into the
         // same canonical fold.
@@ -443,9 +466,76 @@ mod tests {
         assert!(ranges_block_aligned(&ranges));
         let mut y3 = vec![0.0; n];
         let par_norm = par_ranges_norm(&ranges, &mut y3, |slice, start, end| {
-            gather_flat(&g, &inv, 0.85, &x, slice, start..end);
+            gather_flat(&g, &z, 0.85, slice, start..end);
         });
         assert_eq!(y3, y);
         assert_eq!(par_norm.to_bits(), flat_norm.to_bits());
+    }
+
+    /// The CPI step as written down, with no pre-scaling:
+    /// `y[v] = coeff · Σ_{u∈in(v)} x[u]·inv[u]`, folded left over the
+    /// ascending in-row, and its blocked-canonical residual.
+    fn textbook_step(g: &CsrGraph, inv: &[f64], coeff: f64, x: &[f64]) -> (Vec<f64>, f64) {
+        let y: Vec<f64> = (0..g.n() as NodeId)
+            .map(|v| {
+                coeff
+                    * g.in_neighbors(v)
+                        .iter()
+                        .fold(0.0, |a, &u| a + x[u as usize] * inv[u as usize])
+            })
+            .collect();
+        let norm = blocked_norm(&y);
+        (y, norm)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    #[test]
+    fn prescaled_dispatch_is_the_textbook_fold() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use tpa_graph::{DanglingPolicy, GraphBuilder};
+        // Random edges over several norm blocks; every fifth node has no
+        // out-edges and, under `Keep`, stays dangling with `inv = 0.0`.
+        let n = 2 * NORM_BLOCK + 333;
+        let mut rng = StdRng::seed_from_u64(41);
+        let edges: Vec<(NodeId, NodeId)> = (0..40_000)
+            .map(|_| (rng.gen_range(0..n as NodeId), rng.gen_range(0..n as NodeId)))
+            .filter(|&(u, _)| u % 5 != 0)
+            .collect();
+        let g =
+            GraphBuilder::new(n).dangling_policy(DanglingPolicy::Keep).extend_edges(edges).build();
+        let inv = g.inv_out_degrees();
+        assert!(inv.contains(&0.0));
+        // Signed inputs (offset seeds are signed) with exact ±0.0 entries.
+        let x: Vec<f64> = (0..n)
+            .map(|i| match i % 11 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => ((i * 37) % 101) as f64 / 101.0 - 0.5,
+            })
+            .collect();
+        let n32 = n as u32;
+        let splits: [Vec<(u32, u32)>; 4] = [
+            vec![(0, n32)],
+            balance_ranges(g.in_offsets(), 2),
+            balance_ranges(g.in_offsets(), 3),
+            vec![(0, 1000), (1000, 5000), (5000, n32)],
+        ];
+        assert!(splits[1..3].iter().all(|r| r.len() > 1 && ranges_block_aligned(r)));
+        assert!(!ranges_block_aligned(&splits[3]));
+        for coeff in [0.85, 1.0] {
+            let (want, want_norm) = textbook_step(&g, &inv, coeff, &x);
+            for ranges in &splits {
+                let mut y = vec![f64::NAN; n];
+                propagate(&g, &inv, ranges, coeff, &x, &mut y);
+                assert_eq!(bits(&y), bits(&want), "propagate over {ranges:?}");
+                let mut y = vec![f64::NAN; n];
+                let norm = propagate_norm(&g, &inv, ranges, coeff, &x, &mut y);
+                assert_eq!(bits(&y), bits(&want), "propagate_norm over {ranges:?}");
+                assert_eq!(norm.to_bits(), want_norm.to_bits(), "residual over {ranges:?}");
+            }
+        }
     }
 }

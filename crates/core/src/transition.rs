@@ -113,8 +113,10 @@ impl GraphHandle<'_> {
 /// `1/outdeg` weights precomputed.
 ///
 /// The propagation `y ← (1−c)·Ãᵀ·x` is implemented as a *gather* over
-/// in-edges: each node pulls `x[u]/outdeg(u)` from its in-neighbors `u`.
-/// Writes are sequential (good for cache), reads are the random part;
+/// in-edges: each source's share `z[u] = x[u]·(1/outdeg u)` is computed
+/// once per node in a sequential pass, and each node pulls `z[u]` from
+/// its in-neighbors `u` — one random read per in-edge. Writes are
+/// sequential (good for cache), the `z` reads are the random part;
 /// relabeling the graph ([`mod@tpa_graph::reorder`]) is what makes them
 /// local. The kernel is the one flat gather every in-memory backend
 /// shares, run here over a single destination range.
