@@ -22,13 +22,14 @@
 //! a slow host episode hits both sides of a ratio.
 //!
 //! Output: ASCII table, `results/spmv_kernels_<n>.csv`, and
-//! `BENCH_spmv.json` (on the shared [`BenchReport`] envelope). The acceptance bar is best reordering + flat
-//! ≥ 1.3× flat on the n=1M config's scalar pass; a run that includes
-//! that config exits nonzero when the bar fails.
+//! `BENCH_spmv.json` (on the shared [`BenchReport`] envelope). The
+//! acceptance bar is best reordering + flat ≥ 1.3× flat on the n=1M
+//! config's scalar pass; a run that includes that config exits nonzero
+//! when the bar fails.
 //!
 //! Env knobs: `TPA_QUICK=1` runs a single tiny config (CI smoke, no
-//! bar); `TPA_SPMV_N=<n>` runs one config of `n` nodes and `10·n`
-//! edges (the bar applies only at `n` = 1M).
+//! bar, output checks still on); `TPA_SPMV_N=<n>` runs one config of
+//! `n` nodes and `10·n` edges (the bar applies only at `n` = 1M).
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use tpa_bench::harness::results_dir;

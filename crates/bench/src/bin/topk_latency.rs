@@ -40,7 +40,7 @@
 //! structurally near-symmetric). A residual-scaled certificate cannot
 //! separate a gap of `g` before `res` itself decays to ~`g/2`, which
 //! pins the proof to iteration ~84–86 and caps the honest speedup at
-//! the iteration ratio 116/86 ≈ 1.35× (measured 1.28–1.41× across
+//! the iteration ratio 116/86 ≈ 1.35× (measured 1.25–1.32× across
 //! seed classes; some seeds hold an exact tie at the cut and can never
 //! terminate early — they degrade to ~1.0×, never worse). The bar is
 //! set below the measured floor with headroom for CI noise; the
